@@ -294,11 +294,16 @@ int main(int argc, char** argv) {
       "batches into few snapshot publishes; the scheduler keeps the tail "
       "bounded with zero manual Compact() calls");
 
-  // The engine moves behind the service surface; parts 1–2 left it
-  // compacted and warm.
-  auto service =
-      std::make_unique<LocalSearchService>(std::move(bundle.engine));
+  // A fresh service over the same dataset (parts 1–2 grew their engine's
+  // catalogue), compacted by construction and warmed like part 1.
+  bundle.engine.reset();
+  auto built = LocalSearchService::Build(
+      std::move(bundle.workload_view.graph),
+      std::move(bundle.workload_view.store));
+  AMICI_CHECK(built.ok()) << built.status().ToString();
+  auto service = std::move(built).value();
   SocialSearchEngine* engine = service->engine();
+  bench::WarmProximityCache(engine, queries.value());
 
   const size_t kQueued = smoke ? 4000 : 25000;
   constexpr size_t kProducerBatch = 64;

@@ -4,13 +4,11 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/content_first_ta.h"
 #include "core/exhaustive_scan.h"
-#include "core/hybrid_adaptive.h"
 #include "core/merge_scan.h"
 #include "core/nra_search.h"
 #include "core/scorer.h"
-#include "core/social_first.h"
+#include "core/ta_runner.h"
 #include "geo/geo_point.h"
 #include "geo/geo_social.h"
 #include "persist/fs_util.h"
@@ -113,11 +111,11 @@ void SocialSearchEngine::RegisterAlgorithms() {
   algorithms_[static_cast<size_t>(AlgorithmId::kMergeScan)] =
       std::make_unique<MergeScan>();
   algorithms_[static_cast<size_t>(AlgorithmId::kContentFirst)] =
-      std::make_unique<ContentFirstTa>();
+      std::make_unique<BlendedTa>(PullBias::kContent);
   algorithms_[static_cast<size_t>(AlgorithmId::kSocialFirst)] =
-      std::make_unique<SocialFirst>();
+      std::make_unique<BlendedTa>(PullBias::kSocial);
   algorithms_[static_cast<size_t>(AlgorithmId::kHybrid)] =
-      std::make_unique<HybridAdaptive>();
+      std::make_unique<BlendedTa>(PullBias::kAdaptive);
   algorithms_[static_cast<size_t>(AlgorithmId::kGeoGrid)] =
       std::make_unique<GeoGridScan>();
   algorithms_[static_cast<size_t>(AlgorithmId::kNra)] =

@@ -241,8 +241,9 @@ class SocialSearchEngine {
   Result<std::vector<ItemId>> AddItems(std::span<const Item> items);
 
   /// Adds / removes a friendship edge THROUGH the proximity provider
-  /// (which owns the graph): the provider validates, rebuilds (O(E)) and
-  /// publishes a new graph generation, and this engine adopts it into a
+  /// (which owns the graph): the provider validates, patches the two
+  /// endpoint rows into its delta overlay (O(deg)) and publishes a new
+  /// graph generation, and this engine adopts it into a
   /// fresh snapshot; in-flight queries finish on the generation they
   /// pinned. RemoveFriendship returns NotFound when the edge does not
   /// exist; AddFriendship returns AlreadyExists for duplicates; self

@@ -105,4 +105,16 @@ Result<std::vector<ScoredItem>> RunBlendedTa(const QueryContext& ctx,
   return result;
 }
 
+std::string_view BlendedTa::name() const {
+  switch (bias_) {
+    case PullBias::kContent:
+      return "content-first";
+    case PullBias::kSocial:
+      return "social-first";
+    case PullBias::kAdaptive:
+      break;
+  }
+  return "hybrid";
+}
+
 }  // namespace amici

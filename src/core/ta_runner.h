@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/search_algorithm.h"
@@ -14,9 +15,9 @@ namespace amici {
 
 /// Which class of sources a pull policy should favour.
 enum class PullBias {
-  kContent,   // ContentFirst: drain tag lists, touch the social stream rarely
-  kSocial,    // SocialFirst: drain the social stream, touch tag lists rarely
-  kAdaptive,  // Hybrid: greedy max-bound pulls
+  kContent,   // content-first: drain tag lists, touch the social stream rarely
+  kSocial,    // social-first: drain the social stream, touch tag lists rarely
+  kAdaptive,  // hybrid: greedy max-bound pulls
 };
 
 /// The sorted sources of one blended query: per-tag impact-ordered lists
@@ -38,7 +39,7 @@ Result<BlendedSources> BuildBlendedSources(const QueryContext& ctx);
 std::function<bool(ItemId)> BuildEligibilityFilter(const QueryContext& ctx,
                                                    const class Scorer* scorer);
 
-/// Shared implementation of the three blended TA algorithms. Assembles the
+/// Shared implementation of the blended TA (see BlendedTa). Assembles the
 /// sources, combines eligibility filters, and runs the TA engine with a
 /// policy matching `bias`.
 ///
@@ -47,6 +48,37 @@ std::function<bool(ItemId)> BuildEligibilityFilter(const QueryContext& ctx,
 Result<std::vector<ScoredItem>> RunBlendedTa(const QueryContext& ctx,
                                              PullBias bias,
                                              SearchStats* stats);
+
+/// The Threshold Algorithm over the blended sources, one instance per
+/// PullBias. Exact for every alpha and bias; the bias only decides where
+/// sorted accesses go, and therefore how soon the threshold drops below
+/// the k-th score:
+///  * kContent ("content-first") drains the impact-ordered tag lists and
+///    touches the social stream rarely — cheapest at small alpha, where
+///    content dominates the blended score (left side of the Fig 4
+///    crossover);
+///  * kSocial ("social-first") walks the user's neighbourhood in
+///    decreasing-proximity order and probes the tag lists rarely —
+///    cheapest at large alpha, and the strategy whose advantage grows
+///    with social locality (Fig 9);
+///  * kAdaptive ("hybrid", the headline algorithm) sends every sorted
+///    access to the source holding the largest upper bound, so the pull
+///    mix re-balances itself with alpha, tags and neighbourhood shape and
+///    tracks the lower envelope of the other two (Fig 4).
+class BlendedTa final : public SearchAlgorithm {
+ public:
+  explicit BlendedTa(PullBias bias) : bias_(bias) {}
+
+  std::string_view name() const override;
+
+  Result<std::vector<ScoredItem>> Search(const QueryContext& ctx,
+                                         SearchStats* stats) const override {
+    return RunBlendedTa(ctx, bias_, stats);
+  }
+
+ private:
+  PullBias bias_;
+};
 
 }  // namespace amici
 

@@ -19,7 +19,7 @@ namespace amici {
 ///  * a compressed, document-ordered PostingList per tag — candidate
 ///    enumeration and conjunctive merging (ExhaustiveScan, NRA);
 ///  * an impact-ordered array per tag (items sorted by decreasing static
-///    quality) — the sorted-access stream consumed by ContentFirstTa.
+///    quality) — the sorted-access stream consumed by content-first TA.
 ///
 /// The impact order is by item quality, which is exactly the per-tag
 /// contribution to the content score (see Scorer), so impact-ordered

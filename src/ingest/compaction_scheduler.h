@@ -16,7 +16,7 @@
 namespace amici {
 
 /// What the scheduler compacts: a set of independently-compactable shards
-/// (1 for the local backend). Both SearchService backends implement it.
+/// (1 for LocalSearchService). ShardedSearchService implements it.
 /// ShardSignals/CompactShard must be safe to call from the scheduler
 /// thread concurrently with queries and ingest — which the engines'
 /// snapshot protocol already guarantees.

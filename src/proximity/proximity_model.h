@@ -24,7 +24,7 @@ struct ProximityEntry {
 /// from the vector have proximity 0. Entries are ordered by decreasing
 /// score (ties by ascending user id), which is exactly the "ranked access"
 /// order SocialFirst consumes; `Proximity()` provides the "random access"
-/// path ContentFirstTa needs.
+/// path content-first TA needs.
 class ProximityVector {
  public:
   ProximityVector() = default;

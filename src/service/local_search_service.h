@@ -2,117 +2,51 @@
 #define AMICI_SERVICE_LOCAL_SEARCH_SERVICE_H_
 
 #include <memory>
-#include <mutex>
-#include <vector>
+#include <string>
 
-#include "service/search_service.h"
-#include "service/service_persistence.h"
-#include "util/thread_pool.h"
+#include "service/sharded_search_service.h"
 
 namespace amici {
 
-/// The single-node backend: a thin adapter over one SocialSearchEngine.
-/// Global item ids coincide with the engine's ids, so the adapter is
-/// mostly plumbing — it exists so that every caller speaks SearchService
-/// and swapping in a partitioned backend is a one-line change.
-class LocalSearchService final : public SearchService {
+/// The single-node deployment: a ShardedSearchService with one shard,
+/// labelled "local". With one shard the store moves into the engine
+/// whole, global ids are the engine's ids, and a request runs on the
+/// calling thread — the same path as any other shard count, configured.
+class LocalSearchService final : public ShardedSearchService {
  public:
-  struct Options {
-    /// Forwarded to SocialSearchEngine::Build.
-    SocialSearchEngine::Options engine;
-    /// Worker threads for SearchBatch; 0 runs batches inline.
-    size_t batch_threads = 0;
-  };
+  /// options.num_shards is ignored (always 1).
+  using Options = ShardedSearchService::Options;
 
-  /// Builds an engine over `graph` and `store` (both consumed) and wraps
-  /// it.
   static Result<std::unique_ptr<LocalSearchService>> Build(
-      SocialGraph graph, ItemStore store, Options options);
-  static Result<std::unique_ptr<LocalSearchService>> Build(SocialGraph graph,
-                                                           ItemStore store);
+      SocialGraph graph, ItemStore store, Options options = Options()) {
+    options.num_shards = 1;
+    std::unique_ptr<LocalSearchService> service(
+        new LocalSearchService(std::move(options)));
+    AMICI_RETURN_IF_ERROR(
+        service->BuildFrom(std::move(graph), std::move(store)));
+    return service;
+  }
 
-  /// Reopens a service from a snapshot directory written by
-  /// SaveSnapshot: maps the shard-0 segments, restores the graph from
-  /// the root segment, replays the WAL's committed tail through the
-  /// normal mutators, and attaches the WAL so new mutations keep being
-  /// logged. `replay_stats`, when non-null, receives what the replay did
-  /// (records applied, torn tail dropped).
+  /// Reopens a one-shard snapshot; a multi-shard one is InvalidArgument
+  /// (open it with ShardedSearchService::OpenSnapshot).
   static Result<std::unique_ptr<LocalSearchService>> OpenSnapshot(
       const std::string& dir, Options options,
       const persist::SnapshotOpenOptions& open_options =
           persist::SnapshotOpenOptions(),
-      persist::WalReplayStats* replay_stats = nullptr);
-
-  /// Wraps an already-built engine — the migration path for callers that
-  /// construct engines directly (custom proximity models, ablation
-  /// options).
-  explicit LocalSearchService(std::unique_ptr<SocialSearchEngine> engine,
-                              size_t batch_threads = 0);
-
-  /// Joins the background ingest/compaction threads before the engine
-  /// goes away (they drain through this object's mutators).
-  ~LocalSearchService() override;
-
-  std::string_view backend_name() const override { return "local"; }
-  size_t num_shards() const override { return 1; }
-  CompactionSignals ShardSignals(size_t shard) const override;
-  Status CompactShard(size_t shard,
-                      CompactionOutcome* outcome = nullptr) override;
-
-  Result<std::vector<TagSuggestion>> SuggestTags(
-      UserId user, std::span<const TagId> seed_tags,
-      const QueryExpansionOptions& options) override;
-
-  /// Per-tag document frequencies (min for kAll, sum for kAny) + the
-  /// un-indexed tail every query scans.
-  uint64_t EstimateQueryCost(const SocialQuery& query) const override;
-
-  /// The engine's provider (created by Build, or adopted from a wrapped
-  /// engine).
-  std::shared_ptr<ProximityProvider> proximity_provider() const override {
-    return engine_->shared_proximity();
+      persist::WalReplayStats* replay_stats = nullptr) {
+    options.num_shards = 1;
+    std::unique_ptr<LocalSearchService> service(
+        new LocalSearchService(std::move(options)));
+    AMICI_RETURN_IF_ERROR(service->OpenFrom(dir, open_options, replay_stats));
+    return service;
   }
 
-  Result<ItemId> AddItem(const Item& item) override;
-  Result<std::vector<ItemId>> AddItems(std::span<const Item> items) override;
-  Status AddFriendship(UserId u, UserId v) override;
-  Status RemoveFriendship(UserId u, UserId v) override;
-  Status Compact() override;
-  Result<persist::SnapshotSaveReport> SaveSnapshot(
-      const std::string& dir) override;
-
-  size_t num_users() const override;
-  size_t num_items() const override;
-  size_t unindexed_items() const override;
-  UserId OwnerOf(ItemId item) const override;
-  std::vector<TagId> TagsOf(ItemId item) const override;
-  std::vector<UserId> FriendsOf(UserId user) const override;
-  std::string StatsSummary() const override;
-
   /// Escape hatch for engine-level tooling (benches reading build stats).
-  SocialSearchEngine* engine() { return engine_.get(); }
-
- protected:
-  /// Derives a CancellationToken from request.timeout_ms and runs the
-  /// engine query under it: an expired deadline stops the algorithm
-  /// mid-run (stats.truncated); deadline_exceeded also reports post-hoc
-  /// overruns the token was too late to prevent.
-  Result<SearchResponse> SearchImpl(const SearchRequest& request) override;
-  /// Fans SearchImpl per row — each row derives its OWN token, so a
-  /// batch with mixed timeouts degrades per row.
-  std::vector<Result<SearchResponse>> SearchBatchImpl(
-      std::span<const SearchRequest> requests) override;
+  SocialSearchEngine* engine() { return shard_engine(0); }
 
  private:
-  std::unique_ptr<SocialSearchEngine> engine_;
-  std::unique_ptr<ThreadPool> batch_pool_;  // null = inline batches
-
-  /// Serializes mutators at the SERVICE level so WAL order always equals
-  /// apply order (the engine's own writer mutex cannot order the log
-  /// appends that happen after it is released).
-  std::mutex writer_mutex_;
-  /// Snapshot attachment + WAL; guarded by writer_mutex_.
-  ServicePersistState persist_;
+  explicit LocalSearchService(Options options)
+      : ShardedSearchService(std::move(options), "local") {}
 };
 
 }  // namespace amici

@@ -15,9 +15,10 @@
 
 namespace amici {
 
-/// Service-level snapshot orchestration, shared by LocalSearchService
-/// (one shard) and ShardedSearchService (N shards). Directory layout on
-/// top of the engine-level layout (src/persist/snapshot.h):
+/// Service-level snapshot orchestration for ShardedSearchService. ONE
+/// layout for every shard count — a one-shard (LocalSearchService)
+/// snapshot is a root manifest plus shard-0/, like any other. Directory
+/// layout on top of the engine-level layout (src/persist/snapshot.h):
 ///
 ///   <dir>/CURRENT             -> MANIFEST-<gen> (THE commit point)
 ///   <dir>/MANIFEST-<gen>      root manifest: num_shards, wal file, graph

@@ -29,9 +29,40 @@ bool ScoreOrder(const ScoredItem& a, const ScoredItem& b) {
 
 }  // namespace
 
-ShardedSearchService::ShardedSearchService(Options options)
-    : options_(std::move(options)),
-      backend_label_("sharded/" + std::to_string(options_.num_shards)) {}
+struct ShardedSearchService::Pending {
+  size_t request = 0;  // index into the caller's requests
+  size_t fetch_k = 0;
+  /// The best diversified selection a fully completed round already
+  /// produced, so a deadline expiring mid-round can never hand back LESS
+  /// than an earlier round had in hand.
+  std::vector<ScoredItem> best_diverse;
+  SearchStats best_stats;
+  bool has_best = false;
+};
+
+/// Heap-allocated and shared with the pool tasks on the deadline path: a
+/// row whose deadline expires is ABANDONED — its stragglers finish later
+/// and must still find live storage to write into (including their own
+/// copy of the query).
+struct ShardedSearchService::Round {
+  std::mutex mutex;
+  std::condition_variable cv;
+  /// Per row; the row's query at this round's fetch depth.
+  std::vector<SocialQuery> queries;
+  std::vector<std::optional<AlgorithmId>> hints;
+  /// Per row: the cooperative deadline token the shard queries probe.
+  /// Unarmed for rows without a timeout. Lives here (not on the caller's
+  /// stack) because an abandoned row's stragglers keep dereferencing it
+  /// until they exit.
+  std::vector<CancellationToken> tokens;
+  std::vector<std::vector<Result<QueryResult>>> results;  // [row][shard]
+  std::vector<std::vector<char>> done;                    // [row][shard]
+  std::vector<size_t> remaining;                          // per row
+};
+
+ShardedSearchService::ShardedSearchService(Options options,
+                                           std::string backend_label)
+    : options_(std::move(options)), backend_label_(std::move(backend_label)) {}
 
 ShardedSearchService::~ShardedSearchService() { ShutdownBackgroundWork(); }
 
@@ -39,76 +70,103 @@ uint32_t ShardedSearchService::ShardOf(ItemId global) const {
   return static_cast<uint32_t>(Mix64(global) % options_.num_shards);
 }
 
-void ShardedSearchService::RecordPlacementLocked(ItemId global, uint32_t shard,
-                                                 ItemId local) {
+ShardedSearchService::ShardRef ShardedSearchService::Locate(
+    ItemId global) const {
+  if (identity_ids()) return {0, global};
+  return global_to_shard_[global];
+}
+
+ItemId ShardedSearchService::ToGlobal(size_t shard, ItemId local) const {
+  if (identity_ids()) return local;
+  return local_to_global_[shard][local];
+}
+
+void ShardedSearchService::RecordPlacementLocked(ItemId global) {
+  if (identity_ids()) return;
   AMICI_CHECK(global == static_cast<ItemId>(global_to_shard_.size()));
-  AMICI_CHECK(local == static_cast<ItemId>(local_to_global_[shard].size()));
+  const uint32_t shard = ShardOf(global);
+  const ItemId local = static_cast<ItemId>(local_to_global_[shard].size());
   global_to_shard_.push_back({shard, local});
   local_to_global_[shard].push_back(global);
 }
 
 Result<std::unique_ptr<ShardedSearchService>> ShardedSearchService::Build(
     SocialGraph graph, ItemStore store, Options options) {
-  if (options.num_shards == 0) {
+  // Protected constructor: cannot use make_unique.
+  std::unique_ptr<ShardedSearchService> service(
+      new ShardedSearchService(std::move(options), ""));
+  AMICI_RETURN_IF_ERROR(
+      service->BuildFrom(std::move(graph), std::move(store)));
+  return service;
+}
+
+Status ShardedSearchService::BuildFrom(SocialGraph graph, ItemStore store) {
+  if (options_.num_shards == 0) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  // Private constructor: cannot use make_unique.
-  std::unique_ptr<ShardedSearchService> service(
-      new ShardedSearchService(std::move(options)));
-  const size_t num_shards = service->options_.num_shards;
-
-  // Deal the catalogue to per-shard stores by id hash, in global id order
-  // (which keeps local id order consistent with global order per shard).
-  std::vector<ItemStore> stores(num_shards);
-  service->local_to_global_.resize(num_shards);
+  if (options_.engine.proximity_provider != nullptr) {
+    return Status::InvalidArgument(
+        "engine.proximity_provider must be null: ShardedSearchService "
+        "builds the one shared provider itself");
+  }
+  const size_t num_shards = options_.num_shards;
   const size_t total = store.num_items();
-  for (size_t g = 0; g < total; ++g) {
-    const ItemId global = static_cast<ItemId>(g);
-    const uint32_t shard = service->ShardOf(global);
-    Item item;
-    item.owner = store.owner(global);
-    const auto tags = store.tags(global);
-    item.tags.assign(tags.begin(), tags.end());
-    item.quality = store.quality(global);
-    item.has_geo = store.has_geo(global);
-    if (item.has_geo) {
-      item.latitude = store.latitude(global);
-      item.longitude = store.longitude(global);
+  std::vector<ItemStore> stores(num_shards);
+  if (identity_ids()) {
+    stores[0] = std::move(store);
+  } else {
+    local_to_global_.resize(num_shards);
+    // Deal the catalogue to per-shard stores by id hash, in global id
+    // order (which keeps local id order consistent with global order per
+    // shard).
+    for (size_t g = 0; g < total; ++g) {
+      const ItemId global = static_cast<ItemId>(g);
+      Item item;
+      item.owner = store.owner(global);
+      const auto tags = store.tags(global);
+      item.tags.assign(tags.begin(), tags.end());
+      item.quality = store.quality(global);
+      item.has_geo = store.has_geo(global);
+      if (item.has_geo) {
+        item.latitude = store.latitude(global);
+        item.longitude = store.longitude(global);
+      }
+      AMICI_RETURN_IF_ERROR(stores[ShardOf(global)].Add(item).status());
+      RecordPlacementLocked(global);
     }
-    AMICI_ASSIGN_OR_RETURN(const ItemId local, stores[shard].Add(item));
-    service->RecordPlacementLocked(global, shard, local);
   }
 
   // ONE provider for the whole service: the graph moves into it, and
   // every shard engine consumes it — no graph replicas, one shared
   // generation-keyed proximity cache.
-  if (service->options_.engine.proximity_provider != nullptr) {
-    return Status::InvalidArgument(
-        "engine.proximity_provider must be null: ShardedSearchService "
-        "builds the one shared provider itself");
-  }
-  service->provider_ = SocialSearchEngine::MakeProximityProvider(
-      std::move(graph), service->options_.engine);
-
-  service->shards_.reserve(num_shards);
+  provider_ = SocialSearchEngine::MakeProximityProvider(std::move(graph),
+                                                        options_.engine);
+  shards_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    SocialSearchEngine::Options engine_options = service->options_.engine;
-    engine_options.proximity_provider = service->provider_;
+    SocialSearchEngine::Options engine_options = options_.engine;
+    engine_options.proximity_provider = provider_;
     AMICI_ASSIGN_OR_RETURN(
         std::unique_ptr<SocialSearchEngine> engine,
         SocialSearchEngine::Build(std::move(stores[s]),
                                   std::move(engine_options)));
-    service->shards_.push_back(std::move(engine));
+    shards_.push_back(std::move(engine));
   }
+  num_items_.store(total, std::memory_order_release);
+  StartServing();
+  return Status::Ok();
+}
 
-  const size_t hardware = std::max<size_t>(1, std::thread::hardware_concurrency());
+void ShardedSearchService::StartServing() {
+  if (backend_label_.empty()) {
+    backend_label_ = "sharded/" + std::to_string(shards_.size());
+  }
+  const size_t hardware =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
   const size_t threads =
-      service->options_.fanout_threads > 0
-          ? service->options_.fanout_threads
-          : std::max<size_t>(1, std::min(num_shards, hardware));
-  service->pool_ = std::make_unique<ThreadPool>(threads);
-  service->num_items_.store(total, std::memory_order_release);
-  return service;
+      options_.fanout_threads > 0
+          ? options_.fanout_threads
+          : std::max<size_t>(1, std::min(shards_.size(), hardware));
+  pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 void ShardedSearchService::RunFanOut(
@@ -136,12 +194,12 @@ Result<QueryResult> ShardedSearchService::QueryShard(
     // single-node engine over the whole corpus would have executed the
     // hint, so substitute hybrid (exact, only the work profile differs).
     // When no shard has geo items (fallback not allowed) the whole corpus
-    // has none, and the hint must fail exactly like the local backend.
+    // has none, and the hint must fail exactly like a single engine.
     result = shards_[s]->Query(query, AlgorithmId::kHybrid, cancel);
   }
   if (!result.ok()) return result;
   for (ScoredItem& item : result.value().items) {
-    item.item = local_to_global_[s][item.item];
+    item.item = ToGlobal(s, item.item);
   }
   return result;
 }
@@ -160,8 +218,6 @@ std::vector<Result<SearchResponse>> ShardedSearchService::SearchBatchImpl(
 
 std::vector<Result<SearchResponse>> ShardedSearchService::ExecuteRequests(
     std::span<const SearchRequest> requests) {
-  using Clock = std::chrono::steady_clock;
-  const size_t num_shards = shards_.size();
   const Clock::time_point start = Clock::now();
   std::vector<Result<SearchResponse>> responses(
       requests.size(), Status::Internal("request never executed"));
@@ -170,23 +226,10 @@ std::vector<Result<SearchResponse>> ShardedSearchService::ExecuteRequests(
   // A request stays pending while its owner-diversified selection needs a
   // deeper global prefix (iterative deepening, mirroring
   // SocialSearchEngine::QueryDiverse). Plain requests finish in round one.
-  // A deepening request carries the best diversified selection a fully
-  // completed round already produced, so a deadline expiring mid-round
-  // can never hand back LESS than an earlier round had in hand.
-  struct Pending {
-    size_t request;  // index into `requests`
-    size_t fetch_k;
-    std::vector<ScoredItem> best_diverse;
-    SearchStats best_stats;
-    bool has_best = false;
-  };
   std::vector<Pending> pending;
   pending.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    Pending p;
-    p.request = i;
-    p.fetch_k = requests[i].query.k;
-    pending.push_back(std::move(p));
+    pending.push_back(Pending{i, requests[i].query.k, {}, {}, false});
   }
 
   // Computed once per call (not per failing shard): whether a geo-grid
@@ -199,254 +242,256 @@ std::vector<Result<SearchResponse>> ShardedSearchService::ExecuteRequests(
     }
   }
 
-  // One round's fan-out state. Heap-allocated and shared with the pool
-  // tasks on the deadline path: a row whose deadline expires is
-  // ABANDONED — its stragglers finish later and must still find live
-  // storage to write into (including their own copy of the query).
-  struct RoundState {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::vector<SocialQuery> queries;                // per row
-    std::vector<std::optional<AlgorithmId>> hints;   // per row
-    /// Per row: the cooperative deadline token the shard queries probe.
-    /// Unarmed for rows without a timeout. Lives here (not on the
-    /// caller's stack) because an abandoned row's stragglers keep
-    /// dereferencing it until they exit.
-    std::vector<CancellationToken> tokens;
-    std::vector<std::vector<Result<QueryResult>>> results;  // [row][shard]
-    std::vector<std::vector<char>> done;             // [row][shard]
-    std::vector<size_t> remaining;                   // per row
-  };
-
   while (!pending.empty()) {
-    const size_t rows = pending.size();
-    auto state = std::make_shared<RoundState>();
-    state->queries.reserve(rows);
-    state->hints.reserve(rows);
-    state->tokens.reserve(rows);
-    bool any_deadline = false;
-    for (const Pending& p : pending) {
-      const SearchRequest& request = requests[p.request];
-      SocialQuery query = request.query;
-      query.k = p.fetch_k;
-      state->queries.push_back(std::move(query));
-      state->hints.push_back(request.algorithm);
-      // The token carries the request's ABSOLUTE deadline (anchored at
-      // fan-out start, so deepening rounds share it): shards stop
-      // mid-algorithm when it passes, whether or not this thread has
-      // abandoned the row yet.
-      state->tokens.push_back(
-          CancellationToken::FromTimeout(request.timeout_ms, start));
-      if (request.timeout_ms > 0.0) any_deadline = true;
-    }
-    state->results.assign(
-        rows, std::vector<Result<QueryResult>>(
-                  num_shards, Status::Internal("shard never completed")));
-    state->done.assign(rows, std::vector<char>(num_shards, 0));
-    state->remaining.assign(rows, num_shards);
-
-    if (!any_deadline) {
-      // No deadline anywhere: flat barrier fan-out over (row x shard),
-      // one pool pass, caller participates. No locking needed — the
-      // barrier orders every write before the merge below.
-      RunFanOut(rows * num_shards, [&](size_t job) {
-        const size_t r = job / num_shards;
-        const size_t s = job % num_shards;
-        state->results[r][s] = QueryShard(s, state->queries[r],
-                                          state->hints[r],
-                                          geo_fallback_allowed,
-                                          /*cancel=*/nullptr);
-        state->done[r][s] = 1;
-      });
-      for (size_t r = 0; r < rows; ++r) state->remaining[r] = 0;
-    } else {
-      // Deadline path: every job goes to the pool; this thread checks
-      // the deadline between per-shard completions and abandons rows
-      // that overrun (their merge below uses whatever completed, and
-      // their stragglers exit early through the row token).
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t s = 0; s < num_shards; ++s) {
-          pool_->Submit([this, state, r, s, geo_fallback_allowed] {
-            Result<QueryResult> result =
-                QueryShard(s, state->queries[r], state->hints[r],
-                           geo_fallback_allowed, &state->tokens[r]);
-            std::lock_guard<std::mutex> lock(state->mutex);
-            state->results[r][s] = std::move(result);
-            state->done[r][s] = 1;
-            --state->remaining[r];
-            state->cv.notify_all();
-          });
-        }
-      }
-      std::unique_lock<std::mutex> lock(state->mutex);
-      for (size_t r = 0; r < rows; ++r) {
-        const double timeout_ms = requests[pending[r].request].timeout_ms;
-        if (timeout_ms <= 0.0) {
-          state->cv.wait(lock, [&] { return state->remaining[r] == 0; });
-        } else {
-          const auto deadline =
-              start + std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double, std::milli>(
-                              timeout_ms));
-          const bool all_done = state->cv.wait_until(
-              lock, deadline, [&] { return state->remaining[r] == 0; });
-          if (!all_done) {
-            // Row abandoned. The token's own deadline already expired,
-            // but cancel explicitly anyway: it is the only signal on
-            // paths a clock probe cannot reach promptly, and it makes
-            // abandonment visible to stragglers the instant WE stop
-            // waiting rather than whenever they next read the clock.
-            state->tokens[r].RequestCancel();
-          }
-        }
-      }
-    }
-
-    std::vector<Pending> still_pending;
-    for (size_t r = 0; r < rows; ++r) {
+    const std::shared_ptr<Round> round =
+        DispatchRound(requests, pending, start, geo_fallback_allowed);
+    AwaitRound(*round, requests, pending, start);
+    std::vector<Pending> deeper;
+    for (size_t r = 0; r < pending.size(); ++r) {
       const size_t i = pending[r].request;
-      const SearchRequest& request = requests[i];
-      const size_t fetch_k = pending[r].fetch_k;
-
-      // Snapshot this row's completed slots under the lock (stragglers
-      // of abandoned rows may still be writing other slots). The slot
-      // storage was sized up front and never reallocates, so pointers to
-      // completed slots stay valid after the lock is released.
-      std::vector<const QueryResult*> shard_results(num_shards, nullptr);
-      size_t completed = 0;  // shards that reported, ok or errored
-      size_t healthy = 0;    // shards that reported ok
-      Status error = Status::Ok();
-      {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        for (size_t s = 0; s < num_shards; ++s) {
-          if (!state->done[r][s]) continue;
-          ++completed;
-          if (!state->results[r][s].ok()) {
-            if (error.ok()) error = state->results[r][s].status();
-          } else {
-            shard_results[s] = &state->results[r][s].value();
-            ++healthy;
-          }
-        }
-      }
-      if (healthy == 0 && !error.ok()) {
-        // Nothing to merge over — every shard that reported failed.
-        responses[i] = std::move(error);
-        continue;
-      }
-      const size_t failed = completed - healthy;
-      // Partial: some shard did not contribute — either the deadline
-      // passed before it reported (abandoned) or it reported an error.
-      // The merge below is exact over the HEALTHY shards; items held by
-      // the missing shards are absent by design, and the response says
-      // so (shards_failed / shards_abandoned / shard_error) instead of
-      // discarding the healthy work.
-      const bool partial = healthy < num_shards;
-
-      SearchResponse response;
-      response.backend = backend_label_;
-      response.shards_touched = healthy;
-      response.shards_abandoned = num_shards - completed;
-      response.shards_failed = failed;
-      if (failed > 0) response.shard_error = error.ToString();
-      // Label with what actually executed when the (completed) shards
-      // agree (e.g. every shard fell back to hybrid); a mixed fan-out
-      // keeps the hint's name — see the SearchResponse::algorithm
-      // contract.
-      const QueryResult* first = nullptr;
-      bool uniform = true;
-      for (size_t s = 0; s < num_shards && uniform; ++s) {
-        if (shard_results[s] == nullptr) continue;
-        if (first == nullptr) {
-          first = shard_results[s];
-        } else if (shard_results[s]->algorithm != first->algorithm) {
-          uniform = false;
-        }
-      }
-      response.algorithm =
-          (first != nullptr && uniform)
-              ? first->algorithm
-              : AlgorithmName(request.algorithm.value_or(AlgorithmId::kHybrid));
-      std::vector<ScoredItem> merged;
-      bool all_exhausted = true;
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (shard_results[s] == nullptr) continue;
-        MergeSearchStats(shard_results[s]->stats, &response.stats);
-        merged.insert(merged.end(), shard_results[s]->items.begin(),
-                      shard_results[s]->items.end());
-        if (shard_results[s]->items.size() >= fetch_k) all_exhausted = false;
-      }
-      std::sort(merged.begin(), merged.end(), ScoreOrder);
-
-      // Abandonment (a shard never reported before the deadline) is a
-      // deadline symptom; a shard ERROR is not — it must not masquerade
-      // as a timeout.
-      const bool abandoned = completed < num_shards;
-      auto finalize = [&](std::vector<ScoredItem> items) {
-        response.items = std::move(items);
-        response.elapsed_ms = watches[i].ElapsedMillis();
-        response.deadline_exceeded =
-            abandoned || (request.timeout_ms > 0.0 &&
-                          response.elapsed_ms > request.timeout_ms);
-        responses[i] = std::move(response);
-      };
-
-      if (request.max_per_owner == 0) {
-        // Exact: every global top-k member is in its own shard's top-k,
-        // so the merge's first k entries ARE the global top-k.
-        if (merged.size() > request.query.k) merged.resize(request.query.k);
-        finalize(std::move(merged));
-        continue;
-      }
-
-      // Owner-diversified: greedy per-owner cap over the EXACT global
-      // prefix. When no shard was exhausted the first fetch_k entries of
-      // the merge are exactly the global top-fetch_k; when every shard
-      // was exhausted the merge is the entire positive-score corpus and
-      // greedy over all of it is the exact answer.
-      if (!all_exhausted && merged.size() > fetch_k) merged.resize(fetch_k);
-      std::vector<ScoredItem> diverse;
-      std::unordered_map<UserId, size_t> taken;
-      for (const ScoredItem& entry : merged) {
-        size_t& count = taken[OwnerOf(entry.item)];
-        if (count >= request.max_per_owner) continue;
-        ++count;
-        diverse.push_back(entry);
-        if (diverse.size() == request.query.k) break;
-      }
-      if (partial && pending[r].has_best &&
-          pending[r].best_diverse.size() >= diverse.size()) {
-        // This round was cut short AND a fully completed shallower round
-        // already selected at least as many items: prefer that one (it
-        // was exact over EVERY shard at its depth).
-        response.shards_touched = num_shards;
-        response.stats = pending[r].best_stats;
-        finalize(std::move(pending[r].best_diverse));
-        continue;
-      }
-      // Deepening past an already-blown deadline only digs the overrun
-      // deeper; return the best prefix in hand instead. A partial row
-      // (abandoned or errored shards) is likewise terminal — re-fanning
-      // deeper would just repeat the miss.
-      const bool deadline_passed =
-          request.timeout_ms > 0.0 &&
-          watches[i].ElapsedMillis() > request.timeout_ms;
-      if (diverse.size() == request.query.k || all_exhausted || partial ||
-          deadline_passed) {
-        finalize(std::move(diverse));
+      std::optional<Result<SearchResponse>> merged =
+          MergeRow(*round, r, requests[i], &pending[r], watches[i]);
+      if (merged.has_value()) {
+        responses[i] = std::move(*merged);
       } else {
-        Pending next;
-        next.request = i;
-        next.fetch_k = fetch_k * 2;
-        next.best_diverse = std::move(diverse);
-        next.best_stats = response.stats;
-        next.has_best = true;
-        still_pending.push_back(std::move(next));
+        deeper.push_back(std::move(pending[r]));
       }
     }
-    pending = std::move(still_pending);
+    pending = std::move(deeper);
   }
   return responses;
+}
+
+std::shared_ptr<ShardedSearchService::Round>
+ShardedSearchService::DispatchRound(std::span<const SearchRequest> requests,
+                                    std::span<const Pending> pending,
+                                    Clock::time_point start,
+                                    bool geo_fallback_allowed) {
+  const size_t num_shards = shards_.size();
+  const size_t rows = pending.size();
+  auto round = std::make_shared<Round>();
+  round->queries.reserve(rows);
+  round->hints.reserve(rows);
+  round->tokens.reserve(rows);
+  bool any_deadline = false;
+  for (const Pending& p : pending) {
+    const SearchRequest& request = requests[p.request];
+    SocialQuery query = request.query;
+    query.k = p.fetch_k;
+    round->queries.push_back(std::move(query));
+    round->hints.push_back(request.algorithm);
+    // The token carries the request's ABSOLUTE deadline (anchored at
+    // ExecuteRequests start, so deepening rounds share it): shards stop
+    // mid-algorithm when it passes, whether or not the caller has
+    // abandoned the row yet.
+    round->tokens.push_back(
+        CancellationToken::FromTimeout(request.timeout_ms, start));
+    if (request.timeout_ms > 0.0) any_deadline = true;
+  }
+  round->results.assign(
+      rows, std::vector<Result<QueryResult>>(
+                num_shards, Status::Internal("shard never completed")));
+  round->done.assign(rows, std::vector<char>(num_shards, 0));
+  round->remaining.assign(rows, num_shards);
+
+  const size_t jobs = rows * num_shards;
+  if (jobs == 1 || !any_deadline) {
+    // Barrier fan-out over (row x shard), the caller participating. A
+    // single job runs entirely on the calling thread: no pool hop, and a
+    // deadline truncates it cooperatively instead of abandoning it. No
+    // locking needed — the barrier orders every write before the merge.
+    RunFanOut(jobs, [&](size_t job) {
+      const size_t r = job / num_shards;
+      const size_t s = job % num_shards;
+      const CancellationToken& token = round->tokens[r];
+      round->results[r][s] =
+          QueryShard(s, round->queries[r], round->hints[r],
+                     geo_fallback_allowed, token.armed() ? &token : nullptr);
+      round->done[r][s] = 1;
+    });
+    round->remaining.assign(rows, 0);
+    return round;
+  }
+  // Deadline path: every job goes to the pool, so AwaitRound can abandon
+  // rows that overrun (their stragglers exit early through the row
+  // token).
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t s = 0; s < num_shards; ++s) {
+      pool_->Submit([this, round, r, s, geo_fallback_allowed] {
+        Result<QueryResult> result =
+            QueryShard(s, round->queries[r], round->hints[r],
+                       geo_fallback_allowed, &round->tokens[r]);
+        std::lock_guard<std::mutex> lock(round->mutex);
+        round->results[r][s] = std::move(result);
+        round->done[r][s] = 1;
+        --round->remaining[r];
+        round->cv.notify_all();
+      });
+    }
+  }
+  return round;
+}
+
+void ShardedSearchService::AwaitRound(Round& round,
+                                      std::span<const SearchRequest> requests,
+                                      std::span<const Pending> pending,
+                                      Clock::time_point start) const {
+  std::unique_lock<std::mutex> lock(round.mutex);
+  for (size_t r = 0; r < pending.size(); ++r) {
+    const auto row_done = [&] { return round.remaining[r] == 0; };
+    const double timeout_ms = requests[pending[r].request].timeout_ms;
+    if (timeout_ms <= 0.0) {
+      round.cv.wait(lock, row_done);
+      continue;
+    }
+    const auto deadline =
+        start + std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double, std::milli>(timeout_ms));
+    if (!round.cv.wait_until(lock, deadline, row_done)) {
+      // Row abandoned. The token's own deadline already expired, but
+      // cancel explicitly anyway: it is the only signal on paths a clock
+      // probe cannot reach promptly, and it makes abandonment visible to
+      // stragglers the instant we stop waiting rather than whenever they
+      // next read the clock.
+      round.tokens[r].RequestCancel();
+    }
+  }
+}
+
+std::optional<Result<SearchResponse>> ShardedSearchService::MergeRow(
+    Round& round, size_t r, const SearchRequest& request, Pending* pending,
+    const Stopwatch& watch) const {
+  const size_t num_shards = shards_.size();
+  const size_t fetch_k = pending->fetch_k;
+
+  // Snapshot this row's completed slots under the lock (stragglers of
+  // abandoned rows may still be writing other slots). The slot storage
+  // was sized up front and never reallocates, so pointers to completed
+  // slots stay valid after the lock is released.
+  std::vector<const QueryResult*> shard_results(num_shards, nullptr);
+  size_t completed = 0;  // shards that reported, ok or errored
+  size_t healthy = 0;    // shards that reported ok
+  Status error = Status::Ok();
+  {
+    std::lock_guard<std::mutex> lock(round.mutex);
+    for (size_t s = 0; s < num_shards; ++s) {
+      if (!round.done[r][s]) continue;
+      ++completed;
+      if (!round.results[r][s].ok()) {
+        if (error.ok()) error = round.results[r][s].status();
+      } else {
+        shard_results[s] = &round.results[r][s].value();
+        ++healthy;
+      }
+    }
+  }
+  if (healthy == 0 && !error.ok()) {
+    // Nothing to merge over — every shard that reported failed.
+    return Result<SearchResponse>(std::move(error));
+  }
+  const size_t failed = completed - healthy;
+  // Partial: some shard did not contribute — either the deadline passed
+  // before it reported (abandoned) or it reported an error. The merge
+  // below is exact over the HEALTHY shards; items held by the missing
+  // shards are absent by design, and the response says so (shards_failed
+  // / shards_abandoned / shard_error) instead of discarding the healthy
+  // work.
+  const bool partial = healthy < num_shards;
+
+  SearchResponse response;
+  response.backend = backend_label_;
+  response.shards_touched = healthy;
+  response.shards_abandoned = num_shards - completed;
+  response.shards_failed = failed;
+  if (failed > 0) response.shard_error = error.ToString();
+  // Label with what actually executed when the (completed) shards agree
+  // (e.g. every shard fell back to hybrid); a mixed fan-out keeps the
+  // hint's name — see the SearchResponse::algorithm contract.
+  const QueryResult* first = nullptr;
+  bool uniform = true;
+  for (size_t s = 0; s < num_shards && uniform; ++s) {
+    if (shard_results[s] == nullptr) continue;
+    if (first == nullptr) {
+      first = shard_results[s];
+    } else if (shard_results[s]->algorithm != first->algorithm) {
+      uniform = false;
+    }
+  }
+  response.algorithm =
+      (first != nullptr && uniform)
+          ? first->algorithm
+          : AlgorithmName(request.algorithm.value_or(AlgorithmId::kHybrid));
+  std::vector<ScoredItem> merged;
+  bool all_exhausted = true;
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (shard_results[s] == nullptr) continue;
+    MergeSearchStats(shard_results[s]->stats, &response.stats);
+    merged.insert(merged.end(), shard_results[s]->items.begin(),
+                  shard_results[s]->items.end());
+    if (shard_results[s]->items.size() >= fetch_k) all_exhausted = false;
+  }
+  std::sort(merged.begin(), merged.end(), ScoreOrder);
+
+  // Abandonment (a shard never reported before the deadline) and
+  // cooperative truncation inside a shard are deadline symptoms; a shard
+  // ERROR is not — it must not masquerade as a timeout.
+  const bool abandoned = completed < num_shards;
+  auto finalize = [&](std::vector<ScoredItem> items) {
+    response.items = std::move(items);
+    response.elapsed_ms = watch.ElapsedMillis();
+    response.deadline_exceeded =
+        abandoned || response.stats.truncated ||
+        (request.timeout_ms > 0.0 && response.elapsed_ms > request.timeout_ms);
+    return std::optional<Result<SearchResponse>>(std::move(response));
+  };
+
+  if (request.max_per_owner == 0) {
+    // Exact: every global top-k member is in its own shard's top-k, so
+    // the merge's first k entries ARE the global top-k.
+    if (merged.size() > request.query.k) merged.resize(request.query.k);
+    return finalize(std::move(merged));
+  }
+
+  // Owner-diversified: greedy per-owner cap over the EXACT global prefix.
+  // When no shard was exhausted the first fetch_k entries of the merge
+  // are exactly the global top-fetch_k; when every shard was exhausted
+  // the merge is the entire positive-score corpus and greedy over all of
+  // it is the exact answer.
+  if (!all_exhausted && merged.size() > fetch_k) merged.resize(fetch_k);
+  std::vector<ScoredItem> diverse;
+  std::unordered_map<UserId, size_t> taken;
+  for (const ScoredItem& entry : merged) {
+    size_t& count = taken[OwnerOf(entry.item)];
+    if (count >= request.max_per_owner) continue;
+    ++count;
+    diverse.push_back(entry);
+    if (diverse.size() == request.query.k) break;
+  }
+  if (partial && pending->has_best &&
+      pending->best_diverse.size() >= diverse.size()) {
+    // This round was cut short AND a fully completed shallower round
+    // already selected at least as many items: prefer that one (it was
+    // exact over EVERY shard at its depth).
+    response.shards_touched = num_shards;
+    response.stats = pending->best_stats;
+    return finalize(std::move(pending->best_diverse));
+  }
+  // Deepening past an expired deadline only digs the overrun deeper;
+  // return the best prefix in hand instead. A partial row (abandoned or
+  // errored shards) is likewise terminal — re-fanning deeper would just
+  // repeat the miss.
+  const bool deadline_passed =
+      response.stats.truncated ||
+      (request.timeout_ms > 0.0 && watch.ElapsedMillis() > request.timeout_ms);
+  if (diverse.size() == request.query.k || all_exhausted || partial ||
+      deadline_passed) {
+    return finalize(std::move(diverse));
+  }
+  pending->fetch_k = fetch_k * 2;
+  pending->best_diverse = std::move(diverse);
+  pending->best_stats = response.stats;
+  pending->has_best = true;
+  return std::nullopt;
 }
 
 Result<std::vector<TagSuggestion>> ShardedSearchService::SuggestTags(
@@ -545,9 +590,7 @@ Result<std::vector<ItemId>> ShardedSearchService::AddItems(
   ids.reserve(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
     const ItemId global = static_cast<ItemId>(start + i);
-    const uint32_t shard = ShardOf(global);
-    const ItemId local = static_cast<ItemId>(local_to_global_[shard].size());
-    RecordPlacementLocked(global, shard, local);
+    RecordPlacementLocked(global);
     ids.push_back(global);
   }
   // Admit the ids BEFORE any shard publishes: num_items() must never lag
@@ -573,8 +616,9 @@ Result<std::vector<ItemId>> ShardedSearchService::AddItems(
 
 Status ShardedSearchService::AddFriendship(UserId u, UserId v) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  // ONE edit on the one shared graph (one O(E) rebuild, not N); every
-  // shard then adopts the published generation into a fresh snapshot.
+  // ONE edit on the one shared graph (an O(deg) overlay patch, not N);
+  // every shard then adopts the published generation into a fresh
+  // snapshot.
   AMICI_RETURN_IF_ERROR(provider_->AddFriendship(u, v));
   for (const auto& shard : shards_) {
     AMICI_CHECK_OK(shard->SyncGraph());
@@ -607,7 +651,17 @@ ShardedSearchService::OpenSnapshot(
     const std::string& dir, Options options,
     const persist::SnapshotOpenOptions& open_options,
     persist::WalReplayStats* replay_stats) {
-  if (options.engine.proximity_provider != nullptr) {
+  options.num_shards = 0;  // taken from the root manifest
+  std::unique_ptr<ShardedSearchService> service(
+      new ShardedSearchService(std::move(options), ""));
+  AMICI_RETURN_IF_ERROR(service->OpenFrom(dir, open_options, replay_stats));
+  return service;
+}
+
+Status ShardedSearchService::OpenFrom(
+    const std::string& dir, const persist::SnapshotOpenOptions& open_options,
+    persist::WalReplayStats* replay_stats) {
+  if (options_.engine.proximity_provider != nullptr) {
     return Status::InvalidArgument(
         "engine.proximity_provider must be null: ShardedSearchService "
         "restores the one shared provider from the snapshot");
@@ -615,72 +669,65 @@ ShardedSearchService::OpenSnapshot(
   ServicePersistState state;
   AMICI_ASSIGN_OR_RETURN(
       LoadedServiceSnapshot loaded,
-      OpenServiceSnapshot(dir, options.engine, open_options, &state));
-  options.num_shards = loaded.root.num_shards;
-
-  std::unique_ptr<ShardedSearchService> service(
-      new ShardedSearchService(std::move(options)));
-  const size_t num_shards = service->options_.num_shards;
-  service->provider_ = std::move(loaded.provider);
-  service->shards_ = std::move(loaded.shards);
-  service->persist_ = std::move(state);
+      OpenServiceSnapshot(dir, options_.engine, open_options, &state));
+  if (options_.num_shards != 0 &&
+      loaded.root.num_shards != options_.num_shards) {
+    return Status::InvalidArgument(
+        dir + " holds a " + std::to_string(loaded.root.num_shards) +
+        "-shard snapshot, expected " + std::to_string(options_.num_shards) +
+        "; open it with ShardedSearchService::OpenSnapshot");
+  }
+  options_.num_shards = loaded.root.num_shards;
+  if (!identity_ids()) local_to_global_.resize(options_.num_shards);
+  provider_ = std::move(loaded.provider);
+  shards_ = std::move(loaded.shards);
+  persist_ = std::move(state);
 
   // The id maps are NOT persisted: placement is ShardOf(global), a pure
   // function of the global id and the shard count, so replaying global
   // ids 0..num_items-1 reconstructs both directions exactly as ingest
-  // built them.
-  service->local_to_global_.resize(num_shards);
-  std::vector<size_t> counts(num_shards, 0);
-  for (uint64_t g = 0; g < loaded.root.num_items; ++g) {
-    const ItemId global = static_cast<ItemId>(g);
-    const uint32_t shard = service->ShardOf(global);
-    service->RecordPlacementLocked(global, shard,
-                                   static_cast<ItemId>(counts[shard]));
-    ++counts[shard];
-  }
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (counts[s] != service->shards_[s]->store().num_items()) {
-      return Status::Corruption(
-          "shard " + std::to_string(s) + " holds " +
-          std::to_string(service->shards_[s]->store().num_items()) +
-          " items, placement expects " + std::to_string(counts[s]));
+  // built them (identity ids have nothing to replay).
+  if (!identity_ids()) {
+    for (uint64_t g = 0; g < loaded.root.num_items; ++g) {
+      RecordPlacementLocked(static_cast<ItemId>(g));
     }
   }
-  service->num_items_.store(loaded.root.num_items,
-                            std::memory_order_release);
-
-  const size_t hardware =
-      std::max<size_t>(1, std::thread::hardware_concurrency());
-  const size_t threads =
-      service->options_.fanout_threads > 0
-          ? service->options_.fanout_threads
-          : std::max<size_t>(1, std::min(num_shards, hardware));
-  service->pool_ = std::make_unique<ThreadPool>(threads);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const size_t expected = identity_ids() ? loaded.root.num_items
+                                           : local_to_global_[s].size();
+    if (expected != shards_[s]->store().num_items()) {
+      return Status::Corruption(
+          "shard " + std::to_string(s) + " holds " +
+          std::to_string(shards_[s]->store().num_items()) +
+          " items, placement expects " + std::to_string(expected));
+    }
+  }
+  num_items_.store(loaded.root.num_items, std::memory_order_release);
+  StartServing();
 
   // Replay the acknowledged ingest tail through the NORMAL mutators
   // (the WAL is not attached yet, so nothing is re-logged).
-  ShardedSearchService* raw = service.get();
   persist::WalReplayHandlers handlers;
-  handlers.add_items = [raw](uint64_t first_item_id,
-                             std::vector<Item>&& items) -> Status {
-    if (first_item_id != raw->num_items()) {
+  handlers.add_items = [this](uint64_t first_item_id,
+                              std::vector<Item>&& items) -> Status {
+    if (first_item_id != num_items()) {
       return Status::Corruption(
           "WAL batch starts at item " + std::to_string(first_item_id) +
-          ", catalogue has " + std::to_string(raw->num_items()) +
+          ", catalogue has " + std::to_string(num_items()) +
           " (wrong base snapshot?)");
     }
-    return raw->AddItems(items).status();
+    return AddItems(items).status();
   };
-  handlers.add_friendship = [raw](UserId u, UserId v) {
-    return raw->AddFriendship(u, v);
+  handlers.add_friendship = [this](UserId u, UserId v) {
+    return AddFriendship(u, v);
   };
-  handlers.remove_friendship = [raw](UserId u, UserId v) {
-    return raw->RemoveFriendship(u, v);
+  handlers.remove_friendship = [this](UserId u, UserId v) {
+    return RemoveFriendship(u, v);
   };
   AMICI_ASSIGN_OR_RETURN(const persist::WalReplayStats stats,
-                         ReplayAndAttachWal(&service->persist_, handlers));
+                         ReplayAndAttachWal(&persist_, handlers));
   if (replay_stats != nullptr) *replay_stats = stats;
-  return service;
+  return Status::Ok();
 }
 
 Status ShardedSearchService::Compact() {
@@ -750,12 +797,12 @@ uint64_t ShardedSearchService::EstimateQueryCost(
 }
 
 UserId ShardedSearchService::OwnerOf(ItemId item) const {
-  const ShardRef ref = global_to_shard_[item];
+  const ShardRef ref = Locate(item);
   return shards_[ref.shard]->store().owner(ref.local);
 }
 
 std::vector<TagId> ShardedSearchService::TagsOf(ItemId item) const {
-  const ShardRef ref = global_to_shard_[item];
+  const ShardRef ref = Locate(item);
   const auto tags = shards_[ref.shard]->store().tags(ref.local);
   return std::vector<TagId>(tags.begin(), tags.end());
 }

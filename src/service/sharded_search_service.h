@@ -5,23 +5,26 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "service/search_service.h"
 #include "service/service_persistence.h"
 #include "storage/stable_column.h"
+#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace amici {
 
-/// The partitioned backend: items are hash-partitioned across N
-/// single-node engines; the friendship graph and the proximity score
-/// cache live in ONE SharedProximityProvider that every shard engine
-/// consumes — one graph instance and one proximity computation per
-/// cache-missed (user, generation), no matter the shard count. A request
-/// fans out to every shard on a thread pool and the per-shard top-k
-/// lists are merged exactly on (score desc, global id asc).
+/// The search service: items are hash-partitioned across N single-node
+/// engines; the friendship graph and the proximity score cache live in
+/// ONE ProximityProvider that every shard engine consumes — one graph
+/// instance and one proximity computation per cache-missed (user,
+/// generation), no matter the shard count. A request fans out to every
+/// shard and the per-shard top-k lists are merged exactly on (score desc,
+/// global id asc). N = 1 is the single-node deployment (named
+/// LocalSearchService), not a separate implementation.
 ///
 /// Why the merge is exact: an item's blended score depends only on the
 /// item itself, the query, and the owner's proximity — and proximity is
@@ -29,17 +32,18 @@ namespace amici {
 /// the global top-k therefore also ranks in its own shard's top-k, so the
 /// union of per-shard top-k lists contains the global top-k, and merging
 /// on score reproduces it bit-for-bit (tests/service/
-/// sharded_invariance_test.cc asserts this against LocalSearchService
-/// for plain, diverse, geo-filtered and batch requests).
+/// sharded_invariance_test.cc asserts this against a single engine over
+/// the whole corpus for plain, diverse, geo-filtered and batch requests).
 ///
 /// Id spaces: callers see GLOBAL ids, assigned densely in ingest order
 /// exactly like a single engine would. Internally each shard has its own
-/// dense local id space; the service keeps both directions of the
-/// mapping in pointer-stable columns so queries can translate
-/// concurrently with ingest. Because items are appended to shards in
-/// global order, local id order within a shard agrees with global order —
-/// which is what makes the tie-break (ascending id) consistent between
-/// the per-shard heaps and the global merge.
+/// dense local id space; with N > 1 the service keeps both directions of
+/// the mapping in pointer-stable columns so queries can translate
+/// concurrently with ingest (with N = 1 the two spaces coincide and no
+/// mapping is stored). Because items are appended to shards in global
+/// order, local id order within a shard agrees with global order — which
+/// is what makes the tie-break (ascending id) consistent between the
+/// per-shard heaps and the global merge.
 ///
 /// Thread-safety mirrors the engine contract: queries from any number of
 /// threads, concurrently with mutators; mutators serialize on a service
@@ -48,10 +52,10 @@ namespace amici {
 /// independently, so an ingest racing a query may be visible on some
 /// shards and not yet on others — each shard's contribution is exact for
 /// the state it pinned (the usual freshness relaxation of distributed
-/// search; quiesced states match the local backend: identical float
+/// search; quiesced states match a single engine: identical float
 /// scores at every rank, identical items except for selection among
 /// entries whose float-rounded scores tie exactly).
-class ShardedSearchService final : public SearchService {
+class ShardedSearchService : public SearchService {
  public:
   struct Options {
     /// Number of partitions; >= 1.
@@ -69,17 +73,18 @@ class ShardedSearchService final : public SearchService {
   };
 
   /// Builds the service over `graph` and `store` (both consumed): items
-  /// are dealt to shards by id hash, the graph moves into the one shared
-  /// ProximityProvider all shards consume.
+  /// are dealt to shards by id hash (one shard takes the store whole),
+  /// the graph moves into the one shared ProximityProvider all shards
+  /// consume.
   static Result<std::unique_ptr<ShardedSearchService>> Build(
       SocialGraph graph, ItemStore store, Options options);
 
   /// Reopens a service from a snapshot directory written by
   /// SaveSnapshot: restores the one shared graph from the root segment,
   /// maps every shard's segments, deterministically rebuilds the global
-  /// <-> local id maps (placement is a pure function of the global id
-  /// and the shard count), replays the WAL's committed tail through the
-  /// normal mutators, and attaches the WAL. The shard count comes from
+  /// <-> local id maps of a multi-shard snapshot (placement is a pure
+  /// function of the global id and the shard count), replays the WAL's
+  /// committed tail through the normal mutators, and attaches the WAL. The shard count comes from
   /// the root manifest; options.num_shards is ignored. `replay_stats`,
   /// when non-null, receives what the replay did.
   static Result<std::unique_ptr<ShardedSearchService>> OpenSnapshot(
@@ -148,21 +153,49 @@ class ShardedSearchService final : public SearchService {
   std::string StatsSummary() const override;
 
  protected:
+  /// `backend_label` empty selects "sharded/<N>". options.num_shards == 0
+  /// (OpenFrom only) takes the shard count from the snapshot.
+  ShardedSearchService(Options options, std::string backend_label);
+
+  /// The bodies of Build and OpenSnapshot, run on a freshly constructed
+  /// service. OpenFrom rejects a snapshot whose shard count differs from
+  /// a non-zero options.num_shards.
+  Status BuildFrom(SocialGraph graph, ItemStore store);
+  Status OpenFrom(const std::string& dir,
+                  const persist::SnapshotOpenOptions& open_options,
+                  persist::WalReplayStats* replay_stats);
+
   Result<SearchResponse> SearchImpl(const SearchRequest& request) override;
   std::vector<Result<SearchResponse>> SearchBatchImpl(
       std::span<const SearchRequest> requests) override;
 
  private:
+  using Clock = CancellationToken::Clock;
+
   /// Where a global item lives. Trivially copyable: stored in a
   /// StableColumn read concurrently with ingest.
   struct ShardRef {
     uint32_t shard;
     ItemId local;
   };
-
-  explicit ShardedSearchService(Options options);
+  /// A request still being served, possibly a deeper owner-diversified
+  /// round (see ExecuteRequests).
+  struct Pending;
+  /// One fan-out round's shared state (see DispatchRound).
+  struct Round;
 
   uint32_t ShardOf(ItemId global) const;
+
+  /// The id maps. With one shard, global and local ids coincide: no map
+  /// rows are stored or replayed, and Build hands the store over whole.
+  bool identity_ids() const { return options_.num_shards == 1; }
+  ShardRef Locate(ItemId global) const;
+  ItemId ToGlobal(size_t shard, ItemId local) const;
+  /// Appends the mapping rows for the next global id `global`.
+  void RecordPlacementLocked(ItemId global);
+
+  /// Shared tail of BuildFrom / OpenFrom: label and fan-out pool.
+  void StartServing();
 
   /// FanOutOnPool over this service's pool: fn(0) on the calling thread,
   /// the rest on the workers, per-call completion tracking.
@@ -184,19 +217,38 @@ class ShardedSearchService final : public SearchService {
                                  bool geo_fallback_allowed,
                                  const CancellationToken* cancel) const;
 
-  /// Shared fan-out/merge loop behind Search and SearchBatch.
+  /// Shared loop behind Search and SearchBatch: rounds of dispatch,
+  /// wait and merge until every request is final.
   std::vector<Result<SearchResponse>> ExecuteRequests(
       std::span<const SearchRequest> requests);
 
-  /// Appends the mapping rows for global id `global` -> (shard, local).
-  void RecordPlacementLocked(ItemId global, uint32_t shard, ItemId local);
+  /// Starts one round over (pending row x shard). A round of one job runs
+  /// on the calling thread; without any deadline the jobs run as one
+  /// barrier fan-out; otherwise every job goes to the pool.
+  std::shared_ptr<Round> DispatchRound(
+      std::span<const SearchRequest> requests,
+      std::span<const Pending> pending, Clock::time_point start,
+      bool geo_fallback_allowed);
+
+  /// Waits for each row's shards until the row's deadline; a row that
+  /// overruns is abandoned and its stragglers are cancelled.
+  void AwaitRound(Round& round, std::span<const SearchRequest> requests,
+                  std::span<const Pending> pending,
+                  Clock::time_point start) const;
+
+  /// Merges row `r` of an awaited round exactly over the shards that
+  /// reported. Returns the final response, or nullopt after deepening
+  /// `*pending` for another owner-diversified round.
+  std::optional<Result<SearchResponse>> MergeRow(
+      Round& round, size_t r, const SearchRequest& request,
+      Pending* pending, const Stopwatch& watch) const;
 
   Options options_;
-  std::string backend_label_;  // "sharded/<N>"
+  std::string backend_label_;  // "sharded/<N>" unless the subclass names it
   /// The one graph + proximity surface every shard engine consumes.
   std::shared_ptr<ProximityProvider> provider_;
   std::vector<std::unique_ptr<SocialSearchEngine>> shards_;
-  /// global id -> (shard, local id). Readers only touch rows of items
+  /// global id -> (shard, local id); empty with identity ids. Readers only touch rows of items
   /// already visible through some pinned shard snapshot; the engine's
   /// snapshot publish provides the release/acquire edge that makes the
   /// row's writes visible (see StableColumn's concurrency contract).

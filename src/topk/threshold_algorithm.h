@@ -47,9 +47,9 @@ struct AggregationStats {
 /// Chooses which source to pull next, given the current per-source upper
 /// bounds (0 for exhausted sources). Returning an exhausted source is
 /// tolerated — the engine falls back to the best valid one. This is the
-/// knob that turns the single TA engine into ContentFirst (content-biased
-/// pulls), SocialFirst (social-biased) or HybridAdaptive (greedy max-bound)
-/// — see src/core.
+/// knob that turns the single TA engine into content-first (content-biased
+/// pulls), social-first (social-biased) or hybrid (greedy max-bound) — see
+/// BlendedTa in src/core/ta_runner.h.
 using PullPolicy = std::function<size_t(std::span<const double> bounds)>;
 
 /// Fagin's Threshold Algorithm with summation aggregation.
@@ -89,7 +89,7 @@ size_t MaxBoundPull(std::span<const double> bounds);
 /// bounds drain. With a dominant social term (large alpha) almost every
 /// pull goes to the social stream; with dominant content bounds the tag
 /// lists share the pulls — the policy morphs between the ContentFirst and
-/// SocialFirst extremes query-adaptively. This is HybridAdaptive's
+/// SocialFirst extremes query-adaptively. This is the hybrid strategy's
 /// scheduler.
 PullPolicy MakeBoundProportionalPull();
 

@@ -1,12 +1,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/content_first_ta.h"
 #include "core/exhaustive_scan.h"
-#include "core/hybrid_adaptive.h"
 #include "core/merge_scan.h"
 #include "core/scorer.h"
-#include "core/social_first.h"
+#include "core/ta_runner.h"
 #include "gtest/gtest.h"
 #include "index/index_builder.h"
 #include "proximity/ppr_forward_push.h"
@@ -78,9 +76,9 @@ TEST_F(AlgorithmsTest, AllAlgorithmsAgreeAcrossQueryMix) {
 
   const ExhaustiveScan oracle;
   const MergeScan merge;
-  const ContentFirstTa content_first;
-  const SocialFirst social_first;
-  const HybridAdaptive hybrid;
+  const BlendedTa content_first(PullBias::kContent);
+  const BlendedTa social_first(PullBias::kSocial);
+  const BlendedTa hybrid(PullBias::kAdaptive);
   const std::vector<const SearchAlgorithm*> candidates{
       &merge, &content_first, &social_first, &hybrid};
 
@@ -121,7 +119,7 @@ TEST_F(AlgorithmsTest, AllModeAgreesWithOracle) {
 
   const ExhaustiveScan oracle;
   const MergeScan merge;
-  const HybridAdaptive hybrid;
+  const BlendedTa hybrid(PullBias::kAdaptive);
   for (const SocialQuery& query : queries.value()) {
     const ProximityVector proximity =
         proximity_model.Compute(dataset_->graph, query.user);
@@ -152,7 +150,7 @@ TEST_F(AlgorithmsTest, HybridDoesLessWorkThanExhaustiveCorpusScan) {
   const QueryContext ctx = MakeContext(query, proximity);
 
   SearchStats hybrid_stats;
-  const HybridAdaptive hybrid;
+  const BlendedTa hybrid(PullBias::kAdaptive);
   ASSERT_TRUE(hybrid.Search(ctx, &hybrid_stats).ok());
   EXPECT_LT(hybrid_stats.aggregation.candidates_scored,
             dataset_->store.num_items());
@@ -170,7 +168,7 @@ TEST_F(AlgorithmsTest, UnknownTagYieldsSocialOnlyResults) {
   const QueryContext ctx = MakeContext(query, proximity);
 
   const ExhaustiveScan oracle;
-  const HybridAdaptive hybrid;
+  const BlendedTa hybrid(PullBias::kAdaptive);
   SearchStats stats;
   const auto expected = oracle.Search(ctx, &stats);
   const auto actual = hybrid.Search(ctx, &stats);
@@ -203,7 +201,7 @@ TEST_F(AlgorithmsTest, TaRequiresImpactOrderedLists) {
   ctx.social = &lean.value().social;
 
   SearchStats stats;
-  const HybridAdaptive hybrid;
+  const BlendedTa hybrid(PullBias::kAdaptive);
   const auto result = hybrid.Search(ctx, &stats);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
@@ -232,7 +230,7 @@ TEST_F(AlgorithmsTest, AllModeWithUnusedTagYieldsEmpty) {
   SearchStats stats;
   const ExhaustiveScan oracle;
   const MergeScan merge;
-  const HybridAdaptive hybrid;
+  const BlendedTa hybrid(PullBias::kAdaptive);
   for (const SearchAlgorithm* algorithm :
        std::vector<const SearchAlgorithm*>{&oracle, &merge, &hybrid}) {
     const auto result = algorithm->Search(ctx, &stats);
@@ -255,7 +253,7 @@ TEST_F(AlgorithmsTest, SingleUserCorpusAlphaOne) {
   const QueryContext ctx = MakeContext(query, proximity);
 
   SearchStats stats;
-  const HybridAdaptive hybrid;
+  const BlendedTa hybrid(PullBias::kAdaptive);
   const auto result = hybrid.Search(ctx, &stats);
   ASSERT_TRUE(result.ok());
   for (const ScoredItem& entry : result.value()) {
@@ -283,7 +281,7 @@ TEST_F(AlgorithmsTest, StatsAreReported) {
   EXPECT_EQ(exhaustive_stats.items_considered, dataset_->store.num_items());
 
   SearchStats hybrid_stats;
-  const HybridAdaptive hybrid;
+  const BlendedTa hybrid(PullBias::kAdaptive);
   ASSERT_TRUE(hybrid.Search(ctx, &hybrid_stats).ok());
   EXPECT_GT(hybrid_stats.aggregation.sorted_accesses, 0u);
 }

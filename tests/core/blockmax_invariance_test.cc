@@ -19,8 +19,8 @@
 
 #include "core/engine.h"
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
+#include "testing/reference_engine.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
 #include "workload/query_workload.h"
@@ -175,14 +175,6 @@ std::unique_ptr<SearchService> BuildService(const DatasetConfig& config,
                                             size_t num_shards,
                                             bool enable_block_max) {
   Dataset dataset = GenerateDataset(config).value();
-  if (num_shards == 1) {
-    LocalSearchService::Options options;
-    options.engine = EngineOptions(enable_block_max);
-    auto service = LocalSearchService::Build(
-        std::move(dataset.graph), std::move(dataset.store), options);
-    EXPECT_TRUE(service.ok()) << service.status().ToString();
-    return std::move(service).value();
-  }
   ShardedSearchService::Options options;
   options.num_shards = num_shards;
   options.engine = EngineOptions(enable_block_max);
@@ -213,6 +205,8 @@ TEST(BlockMaxInvarianceTest, ServiceTwinsMatchAcrossShardsAndMutations) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     auto off = BuildService(config, shards, /*enable_block_max=*/false);
     auto on = BuildService(config, shards, /*enable_block_max=*/true);
+    // The twins also agree with one bare engine over the whole corpus.
+    auto reference = BuildEngine(config, /*enable_block_max=*/false);
 
     uint64_t skipped_on = 0;
     auto compare_all = [&](const std::string& phase) {
@@ -220,6 +214,8 @@ TEST(BlockMaxInvarianceTest, ServiceTwinsMatchAcrossShardsAndMutations) {
         const auto want = off->Search(requests[i]);
         const auto got = on->Search(requests[i]);
         ExpectSameItems(want, got, phase + " request " + std::to_string(i));
+        ExpectSameResponse(ReferenceSearch(*reference, requests[i]), want,
+                           phase + " reference request " + std::to_string(i));
         if (got.ok()) {
           skipped_on += got.value().stats.aggregation.blocks_skipped;
         }
@@ -249,11 +245,13 @@ TEST(BlockMaxInvarianceTest, ServiceTwinsMatchAcrossShardsAndMutations) {
     ASSERT_TRUE(off_ids.ok()) << off_ids.status().ToString();
     ASSERT_TRUE(on_ids.ok()) << on_ids.status().ToString();
     EXPECT_EQ(off_ids.value(), on_ids.value());
+    ASSERT_TRUE(reference->AddItems(batch).ok());
 
     compare_all("post-ingest");
 
     ASSERT_TRUE(off->Compact().ok());
     ASSERT_TRUE(on->Compact().ok());
+    ASSERT_TRUE(reference->Compact().ok());
     EXPECT_EQ(on->unindexed_items(), 0u);
 
     compare_all("post-compact");

@@ -3,7 +3,8 @@
 // indistinguishable — bit-identical responses, not merely equivalent —
 // from a twin engine that always REBUILDS its indexes from scratch,
 // under randomized interleavings of AddItems batches, friendship edits
-// and Compacts, on the local backend and on 2- and 4-shard services.
+// and Compacts, on 1-, 2- and 4-shard services — and both twins agree with
+// a single never-compacted SocialSearchEngine fed the same mutations.
 //
 // Why bit-identical is achievable: a merged posting list / owner bucket
 // / grid cell holds exactly the postings a rebuild would produce (the
@@ -22,8 +23,8 @@
 
 #include "core/engine.h"
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
+#include "testing/reference_engine.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
 #include "workload/query_workload.h"
@@ -41,22 +42,12 @@ DatasetConfig TestConfig(uint64_t seed) {
   return config;
 }
 
-/// Builds one backend over the (deterministically regenerated) dataset
-/// with the given forced compaction mode; num_shards == 0 selects the
-/// local backend.
+/// Builds one service over the (deterministically regenerated) dataset
+/// with the given forced compaction mode.
 std::unique_ptr<SearchService> BuildService(const DatasetConfig& config,
                                             size_t num_shards,
                                             CompactionMode mode) {
   Dataset dataset = GenerateDataset(config).value();
-  if (num_shards == 0) {
-    LocalSearchService::Options options;
-    options.engine.compaction_mode = mode;
-    auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                             std::move(dataset.store),
-                                             std::move(options));
-    EXPECT_TRUE(service.ok()) << service.status().ToString();
-    return std::move(service).value();
-  }
   ShardedSearchService::Options options;
   options.num_shards = num_shards;
   options.engine.compaction_mode = mode;
@@ -121,14 +112,18 @@ std::vector<SearchRequest> BuildProbes(const DatasetConfig& config) {
 
 /// Twin responses must agree EXACTLY: same backend, same corpus, same
 /// code — the only difference is merged vs rebuilt index representation,
-/// whose contents are bit-identical by construction.
+/// whose contents are bit-identical by construction. Both also match the
+/// single-engine reference (up to float-rounded ties across backends).
 void ExpectIdenticalResponses(SearchService* merge_twin,
                               SearchService* rebuild_twin,
+                              SocialSearchEngine* reference,
                               std::span<const SearchRequest> probes,
                               const std::string& label) {
   for (size_t i = 0; i < probes.size(); ++i) {
     const auto want = rebuild_twin->Search(probes[i]);
     const auto got = merge_twin->Search(probes[i]);
+    ExpectSameResponse(ReferenceSearch(*reference, probes[i]), want,
+                       label + " reference probe " + std::to_string(i));
     ASSERT_EQ(want.ok(), got.ok())
         << label << " probe " << i << ": " << want.status().ToString()
         << " vs " << got.status().ToString();
@@ -167,14 +162,13 @@ void RunInvarianceWorkload(size_t num_shards, uint64_t seed) {
       BuildService(config, num_shards, CompactionMode::kAlwaysMerge);
   auto rebuild_twin =
       BuildService(config, num_shards, CompactionMode::kAlwaysRebuild);
+  auto reference = BuildReferenceEngine(GenerateDataset(config).value());
   const std::vector<SearchRequest> probes = BuildProbes(config);
-  const std::string label =
-      (num_shards == 0 ? std::string("local")
-                       : "sharded/" + std::to_string(num_shards)) +
-      " seed " + std::to_string(seed);
+  const std::string label = "sharded/" + std::to_string(num_shards) +
+                            " seed " + std::to_string(seed);
 
-  ExpectIdenticalResponses(merge_twin.get(), rebuild_twin.get(), probes,
-                           label + " fresh");
+  ExpectIdenticalResponses(merge_twin.get(), rebuild_twin.get(),
+                           reference.get(), probes, label + " fresh");
 
   Rng rng(seed * 17 + 9);
   const size_t num_users = merge_twin->num_users();
@@ -206,25 +200,31 @@ void RunInvarianceWorkload(size_t num_shards, uint64_t seed) {
     ASSERT_TRUE(merge_ids.ok()) << round_label;
     ASSERT_TRUE(rebuild_ids.ok()) << round_label;
     EXPECT_EQ(merge_ids.value(), rebuild_ids.value()) << round_label;
+    ASSERT_TRUE(reference->AddItems(batch).ok()) << round_label;
 
     // A friendship flip (add or remove), identical on both twins.
     const UserId u = static_cast<UserId>(rng.UniformIndex(num_users));
     const UserId v = static_cast<UserId>(rng.UniformIndex(num_users));
     if (u != v) {
       if (rng.Bernoulli(0.5)) {
-        EXPECT_EQ(merge_twin->AddFriendship(u, v).code(),
-                  rebuild_twin->AddFriendship(u, v).code())
+        const StatusCode code = reference->AddFriendship(u, v).code();
+        EXPECT_EQ(merge_twin->AddFriendship(u, v).code(), code)
+            << round_label;
+        EXPECT_EQ(rebuild_twin->AddFriendship(u, v).code(), code)
             << round_label;
       } else {
-        EXPECT_EQ(merge_twin->RemoveFriendship(u, v).code(),
-                  rebuild_twin->RemoveFriendship(u, v).code())
+        const StatusCode code = reference->RemoveFriendship(u, v).code();
+        EXPECT_EQ(merge_twin->RemoveFriendship(u, v).code(), code)
+            << round_label;
+        EXPECT_EQ(rebuild_twin->RemoveFriendship(u, v).code(), code)
             << round_label;
       }
     }
 
     // Occasionally probe mid-tail (both twins carry the same tail).
     if (round % 2 == 1) {
-      ExpectIdenticalResponses(merge_twin.get(), rebuild_twin.get(), probes,
+      ExpectIdenticalResponses(merge_twin.get(), rebuild_twin.get(),
+                               reference.get(), probes,
                                round_label + " pre-compact");
     }
 
@@ -234,7 +234,8 @@ void RunInvarianceWorkload(size_t num_shards, uint64_t seed) {
     ASSERT_TRUE(rebuild_twin->Compact().ok()) << round_label;
     EXPECT_EQ(merge_twin->unindexed_items(), 0u) << round_label;
     EXPECT_EQ(rebuild_twin->unindexed_items(), 0u) << round_label;
-    ExpectIdenticalResponses(merge_twin.get(), rebuild_twin.get(), probes,
+    ExpectIdenticalResponses(merge_twin.get(), rebuild_twin.get(),
+                             reference.get(), probes,
                              round_label + " post-compact");
   }
 
@@ -254,9 +255,9 @@ void RunInvarianceWorkload(size_t num_shards, uint64_t seed) {
   EXPECT_NE(merge_twin->StatsSummary().find("merge"), std::string::npos);
 }
 
-TEST(CompactionInvarianceTest, LocalMergeTwinMatchesRebuildTwin) {
-  RunInvarianceWorkload(0, 3u);
-  RunInvarianceWorkload(0, 23u);
+TEST(CompactionInvarianceTest, OneShardMergeTwinMatchesRebuildTwin) {
+  RunInvarianceWorkload(1, 3u);
+  RunInvarianceWorkload(1, 23u);
 }
 
 TEST(CompactionInvarianceTest, TwoShardMergeTwinMatchesRebuildTwin) {

@@ -108,7 +108,7 @@ TEST(StressTest, SearchBatchMatchesSerialExecution) {
   Dataset dataset = GenerateDataset(config).value();
   Dataset workload_view = GenerateDataset(config).value();
   LocalSearchService::Options options;
-  options.batch_threads = 8;
+  options.fanout_threads = 8;
   auto service = LocalSearchService::Build(std::move(dataset.graph),
                                            std::move(dataset.store),
                                            std::move(options));

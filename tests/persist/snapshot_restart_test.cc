@@ -368,6 +368,38 @@ TEST(SnapshotRestartTest, ShardCountMismatchesAreRejected) {
   EXPECT_EQ(one.value()->num_items(), local->num_items());
 }
 
+TEST(SnapshotRestartTest, LocalSnapshotReopensThroughShardedOpener) {
+  // One layout for every shard count: what LocalSearchService saves —
+  // segments plus a logged WAL tail — the general opener reopens as a
+  // one-shard service with the identical top-k.
+  const DatasetConfig config = TestConfig(29);
+  Dataset dataset = GenerateDataset(config).value();
+  auto live = LocalSearchService::Build(std::move(dataset.graph),
+                                        std::move(dataset.store))
+                  .value();
+  const std::string dir = TempDir("local_as_sharded");
+  ASSERT_TRUE(live->SaveSnapshot(dir).ok());
+  Rng rng(config.seed * 5 + 2);
+  for (int i = 0; i < 12; ++i) {
+    Item item;
+    item.owner = static_cast<UserId>(rng.UniformIndex(config.num_users));
+    item.tags = {static_cast<TagId>(rng.UniformIndex(config.num_tags))};
+    item.quality = static_cast<float>(rng.UniformDouble());
+    ASSERT_TRUE(live->AddItem(item).ok());
+  }
+
+  persist::WalReplayStats stats;
+  auto twin = ShardedSearchService::OpenSnapshot(
+      dir, ShardedSearchService::Options(), persist::SnapshotOpenOptions(),
+      &stats);
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+  EXPECT_EQ(twin.value()->num_shards(), 1u);
+  EXPECT_EQ(twin.value()->backend_name(), "sharded/1");
+  EXPECT_GT(stats.records_applied, 0u) << "tail was not replayed";
+  ExpectServiceTwin(live.get(), twin.value().get(), BuildRequests(config),
+                    "local-as-sharded");
+}
+
 TEST(SnapshotRestartTest, ReopenedServiceKeepsLoggingAndReopens) {
   // save -> reopen -> mutate the TWIN -> reopen again: the reopened
   // service's attached WAL must capture the second round of mutations.

@@ -25,6 +25,7 @@
 #include "proximity_service/overlay_fold_policy.h"
 #include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
+#include "testing/reference_engine.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
 
@@ -59,12 +60,6 @@ std::unique_ptr<SearchService> BuildSharded(const DatasetConfig& config,
   // The generator is deterministic: every backend consumes the identical
   // corpus and graph.
   Dataset dataset = GenerateDataset(config).value();
-  if (shards == 0) {
-    auto local = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store));
-    EXPECT_TRUE(local.ok()) << local.status().ToString();
-    return std::move(local).value();
-  }
   ShardedSearchService::Options options;
   options.num_shards = shards;
   auto sharded = ShardedSearchService::Build(std::move(dataset.graph),
@@ -139,45 +134,16 @@ std::vector<SearchRequest> ProbeRequests(uint64_t seed, size_t num_users) {
   return requests;
 }
 
-/// Bit-identical comparison with the boundary-tie relaxation of
-/// sharded_invariance_test: scores must match bit-for-bit at every rank;
-/// item ids must match wherever the score is unique and above the k-th
-/// score's tie class.
-void ExpectSameResponse(const Result<SearchResponse>& expected,
-                        const Result<SearchResponse>& actual,
-                        const std::string& label) {
-  ASSERT_EQ(expected.ok(), actual.ok())
-      << label << ": " << expected.status().ToString() << " vs "
-      << actual.status().ToString();
-  if (!expected.ok()) {
-    EXPECT_EQ(expected.status().code(), actual.status().code()) << label;
-    return;
-  }
-  const auto& want = expected.value().items;
-  const auto& got = actual.value().items;
-  ASSERT_EQ(want.size(), got.size()) << label;
-  const float boundary = want.empty() ? 0.0f : want.back().score;
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].score, got[i].score) << label << " rank " << i;
-    const bool tied =
-        (i > 0 && want[i - 1].score == want[i].score) ||
-        (i + 1 < want.size() && want[i + 1].score == want[i].score);
-    if (!tied && want[i].score != boundary) {
-      EXPECT_EQ(want[i].item, got[i].item) << label << " rank " << i;
-    }
-  }
-}
-
 TEST(FriendshipChurnInvarianceTest, InterleavedEditsAndQueriesStayIdentical) {
   for (const uint64_t seed : {3u, 21u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const DatasetConfig config = TestConfig(seed);
 
-    // Reference: the serial single-engine replay (local backend). Every
-    // fleet variant must track it through every edit.
-    auto reference = BuildSharded(config, 0);
+    // Reference: the serial replay on one bare engine. Every fleet
+    // variant must track it through every edit.
+    auto reference = BuildReferenceEngine(GenerateDataset(config).value());
     std::vector<Backend> fleet = BuildFleet(config);
-    const size_t num_users = reference->num_users();
+    const size_t num_users = reference->graph().num_users();
 
     Rng rng(seed * 31 + 7);
     // Edges we added and can later remove (removing a random pair is
@@ -227,7 +193,7 @@ TEST(FriendshipChurnInvarianceTest, InterleavedEditsAndQueriesStayIdentical) {
       const std::vector<SearchRequest> requests =
           ProbeRequests(seed * 131 + static_cast<uint64_t>(step), num_users);
       for (size_t i = 0; i < requests.size(); ++i) {
-        const auto want = reference->Search(requests[i]);
+        const auto want = ReferenceSearch(*reference, requests[i]);
         for (const auto& backend : fleet) {
           ExpectSameResponse(
               want, backend.service->Search(requests[i]),
@@ -242,14 +208,16 @@ TEST(FriendshipChurnInvarianceTest, InterleavedEditsAndQueriesStayIdentical) {
     for (const auto& backend : fleet) {
       const ProximityProviderStats stats =
           backend.service->proximity_stats();
-      EXPECT_EQ(reference->proximity_stats().generations_published,
+      EXPECT_EQ(reference->proximity().stats().generations_published,
                 stats.generations_published)
           << backend.label;
       if (backend.expect_folds) {
         EXPECT_GT(stats.overlay_folds, 0u) << backend.label;
       }
       for (UserId user = 0; user < 10; ++user) {
-        EXPECT_EQ(reference->FriendsOf(user), backend.service->FriendsOf(user))
+        const auto friends = reference->graph().Friends(user);
+        EXPECT_EQ(std::vector<UserId>(friends.begin(), friends.end()),
+                  backend.service->FriendsOf(user))
             << backend.label << " user " << user;
       }
     }

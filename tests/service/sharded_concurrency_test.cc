@@ -2,8 +2,8 @@
 // Search / SearchBatch while a writer ingests (AddItem + AddItems batches)
 // and compacts. Responses observed mid-flight must be internally
 // consistent (ordered, deduplicated, ids within the visible corpus); the
-// final state must match a LocalSearchService fed the identical mutation
-// sequence. Run under -fsanitize=thread to check the id-map publication
+// final state must match a single SocialSearchEngine fed the identical
+// mutation sequence. Run under -fsanitize=thread to check the id-map publication
 // protocol (mapping rows must be visible before a shard snapshot exposes
 // the item).
 
@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
+#include "testing/reference_engine.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
 #include "workload/query_workload.h"
@@ -44,7 +44,7 @@ TEST(ShardedConcurrencyTest, QueriesStayConsistentDuringIngestAndCompact) {
   workload.seed = 31;
   const auto queries = GenerateQueries(workload_view, workload).value();
 
-  // The full mutation script, fixed up front so a local replica can
+  // The full mutation script, fixed up front so a reference engine can
   // replay it afterwards.
   Rng rng(515);
   std::vector<Item> script;
@@ -110,17 +110,14 @@ TEST(ShardedConcurrencyTest, QueriesStayConsistentDuringIngestAndCompact) {
   for (auto& reader : readers) reader.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Post-hoc exactness: a local replica fed the same script agrees.
-  Dataset replica = GenerateDataset(config).value();
-  auto local = LocalSearchService::Build(std::move(replica.graph),
-                                         std::move(replica.store))
-                   .value();
-  ASSERT_TRUE(local->AddItems(script).ok());
-  ASSERT_EQ(local->num_items(), service->num_items());
+  // Post-hoc exactness: a single engine fed the same script agrees.
+  auto reference = BuildReferenceEngine(GenerateDataset(config).value());
+  ASSERT_TRUE(reference->AddItems(script).ok());
+  ASSERT_EQ(reference->store().num_items(), service->num_items());
   for (const SocialQuery& query : queries) {
     SearchRequest request;
     request.query = query;
-    const auto expected = local->Search(request);
+    const auto expected = ReferenceSearch(*reference, request);
     const auto actual = service->Search(request);
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(actual.ok());

@@ -1,11 +1,12 @@
-// The acceptance property of the service redesign: a ShardedSearchService
-// over ANY shard count returns bit-identical top-k (items AND scores) to
-// LocalSearchService on the same corpus — for plain, owner-diversified,
-// geo-filtered and batch requests, across algorithm hints, and across
-// mutations (ingest, friendship churn, per-backend compaction).
+// The acceptance property of the service: a ShardedSearchService over
+// ANY shard count — one included — returns bit-identical top-k (items AND
+// scores) to a single SocialSearchEngine over the same corpus, for plain,
+// owner-diversified, geo-filtered and batch requests, across algorithm
+// hints, and across mutations (ingest, friendship churn, per-backend
+// compaction).
 //
-// Why bit-identical is achievable: the graph is replicated to every
-// shard, so proximity vectors — and hence every blended score — are
+// Why bit-identical is achievable: every shard consumes the one shared
+// graph, so proximity vectors — and hence every blended score — are
 // computed by the exact same code on the exact same inputs; the merge
 // only reorders ScoredItems, never recomputes them.
 
@@ -14,8 +15,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
+#include "testing/reference_engine.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
 #include "workload/query_workload.h"
@@ -35,18 +36,15 @@ DatasetConfig TestConfig(uint64_t seed) {
   return config;
 }
 
-std::unique_ptr<SearchService> BuildLocal(const DatasetConfig& config) {
-  Dataset dataset = GenerateDataset(config).value();
-  auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store));
-  EXPECT_TRUE(service.ok()) << service.status().ToString();
-  return std::move(service).value();
+std::unique_ptr<SocialSearchEngine> BuildReference(
+    const DatasetConfig& config) {
+  return BuildReferenceEngine(GenerateDataset(config).value());
 }
 
 std::unique_ptr<SearchService> BuildSharded(const DatasetConfig& config,
                                             size_t num_shards) {
   // The generator is deterministic: regenerating yields the identical
-  // corpus the local backend consumed.
+  // corpus the reference engine consumed.
   Dataset dataset = GenerateDataset(config).value();
   ShardedSearchService::Options options;
   options.num_shards = num_shards;
@@ -121,81 +119,48 @@ std::vector<SearchRequest> BuildRequests(const DatasetConfig& config) {
   return requests;
 }
 
-void ExpectSameResponse(const Result<SearchResponse>& expected,
-                        const Result<SearchResponse>& actual,
-                        const std::string& label) {
-  ASSERT_EQ(expected.ok(), actual.ok())
-      << label << ": " << expected.status().ToString() << " vs "
-      << actual.status().ToString();
-  if (!expected.ok()) {
-    EXPECT_EQ(expected.status().code(), actual.status().code()) << label;
-    return;
-  }
-  const auto& want = expected.value().items;
-  const auto& got = actual.value().items;
-  ASSERT_EQ(want.size(), got.size()) << label;
-  // Every exact top-k contains ALL items scoring strictly above the k-th
-  // score; membership AT the k-th score is algorithm-discretionary when a
-  // tie class straddles the boundary, and entries whose FLOAT-rounded
-  // scores collide may order/select differently (the engines rank on
-  // internal doubles, responses carry floats). So: scores must match
-  // bit-for-bit at every rank, and item ids must match wherever the score
-  // is unique in the list and above the boundary tie class.
-  const float boundary = want.empty() ? 0.0f : want.back().score;
-  for (size_t i = 0; i < want.size(); ++i) {
-    // Bit-identical, not merely close: same inputs, same code, per shard.
-    EXPECT_EQ(want[i].score, got[i].score) << label << " rank " << i;
-    const bool tied =
-        (i > 0 && want[i - 1].score == want[i].score) ||
-        (i + 1 < want.size() && want[i + 1].score == want[i].score);
-    if (!tied && want[i].score != boundary) {
-      EXPECT_EQ(want[i].item, got[i].item) << label << " rank " << i;
-    }
-  }
-}
-
-void ExpectInvariant(SearchService* local,
+void ExpectInvariant(SocialSearchEngine* reference,
                      std::span<const std::unique_ptr<SearchService>> sharded,
                      std::span<const SearchRequest> requests,
                      const std::string& phase) {
   // One request at a time...
-  std::vector<Result<SearchResponse>> reference;
+  std::vector<Result<SearchResponse>> expected;
   for (const SearchRequest& request : requests) {
-    reference.push_back(local->Search(request));
+    expected.push_back(ReferenceSearch(*reference, request));
   }
   for (const auto& service : sharded) {
     const std::string label =
         phase + " " + std::string(service->backend_name());
     for (size_t i = 0; i < requests.size(); ++i) {
-      ExpectSameResponse(reference[i], service->Search(requests[i]),
+      ExpectSameResponse(expected[i], service->Search(requests[i]),
                          label + " request " + std::to_string(i));
     }
     // ...and the whole mix as one batch.
     const auto batch = service->SearchBatch(requests);
     ASSERT_EQ(batch.size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
-      ExpectSameResponse(reference[i], batch[i],
+      ExpectSameResponse(expected[i], batch[i],
                          label + " batch slot " + std::to_string(i));
     }
   }
 }
 
-TEST(ShardedInvarianceTest, AllShardCountsMatchLocalAcrossMutations) {
+TEST(ShardedInvarianceTest, AllShardCountsMatchOneEngineAcrossMutations) {
   for (const uint64_t seed : {11u, 29u}) {
     SCOPED_TRACE("dataset seed " + std::to_string(seed));
     const DatasetConfig config = TestConfig(seed);
-    auto local = BuildLocal(config);
+    auto reference = BuildReference(config);
     std::vector<std::unique_ptr<SearchService>> sharded;
     for (const size_t shards : kShardCounts) {
       sharded.push_back(BuildSharded(config, shards));
     }
     const std::vector<SearchRequest> requests = BuildRequests(config);
 
-    ExpectInvariant(local.get(), sharded, requests, "fresh");
+    ExpectInvariant(reference.get(), sharded, requests, "fresh");
 
     // --- Mutations, applied identically to every backend. -------------
     Rng rng(seed * 7 + 5);
-    const size_t num_users = local->num_users();
+    const size_t num_users = reference->graph().num_users();
     std::vector<Item> batch;
     for (int i = 0; i < 40; ++i) {
       Item item;
@@ -215,20 +180,22 @@ TEST(ShardedInvarianceTest, AllShardCountsMatchLocalAcrossMutations) {
     // Half through the batched path, half one-by-one; global ids must
     // come out dense and identical on every backend.
     const std::span<const Item> first_half(batch.data(), 20);
-    const auto local_ids = local->AddItems(first_half);
-    ASSERT_TRUE(local_ids.ok()) << local_ids.status().ToString();
+    const auto reference_ids = reference->AddItems(first_half);
+    ASSERT_TRUE(reference_ids.ok()) << reference_ids.status().ToString();
     for (const auto& service : sharded) {
       const auto ids = service->AddItems(first_half);
       ASSERT_TRUE(ids.ok()) << ids.status().ToString();
-      EXPECT_EQ(local_ids.value(), ids.value()) << service->backend_name();
+      EXPECT_EQ(reference_ids.value(), ids.value())
+          << service->backend_name();
     }
     for (size_t i = 20; i < batch.size(); ++i) {
-      const auto local_id = local->AddItem(batch[i]);
-      ASSERT_TRUE(local_id.ok());
+      const auto reference_id = reference->AddItem(batch[i]);
+      ASSERT_TRUE(reference_id.ok());
       for (const auto& service : sharded) {
         const auto id = service->AddItem(batch[i]);
         ASSERT_TRUE(id.ok());
-        EXPECT_EQ(local_id.value(), id.value()) << service->backend_name();
+        EXPECT_EQ(reference_id.value(), id.value())
+            << service->backend_name();
       }
     }
     // A couple of friendship flips.
@@ -236,15 +203,15 @@ TEST(ShardedInvarianceTest, AllShardCountsMatchLocalAcrossMutations) {
       const UserId u = static_cast<UserId>(rng.UniformIndex(num_users));
       const UserId v = static_cast<UserId>(rng.UniformIndex(num_users));
       if (u == v) continue;
-      const Status local_status = local->AddFriendship(u, v);
+      const Status reference_status = reference->AddFriendship(u, v);
       for (const auto& service : sharded) {
         const Status status = service->AddFriendship(u, v);
-        EXPECT_EQ(local_status.code(), status.code())
+        EXPECT_EQ(reference_status.code(), status.code())
             << service->backend_name();
       }
     }
 
-    ExpectInvariant(local.get(), sharded, requests, "post-ingest");
+    ExpectInvariant(reference.get(), sharded, requests, "post-ingest");
 
     // Compact only SOME backends: results must not depend on whether a
     // backend's tail has been folded into its indexes.
@@ -256,13 +223,13 @@ TEST(ShardedInvarianceTest, AllShardCountsMatchLocalAcrossMutations) {
         EXPECT_EQ(service->unindexed_items(), 0u);
       }
     }
-    ExpectInvariant(local.get(), sharded, requests, "post-compact");
+    ExpectInvariant(reference.get(), sharded, requests, "post-compact");
   }
 }
 
-TEST(ShardedInvarianceTest, SuggestTagsUnionMergeMatchesLocal) {
+TEST(ShardedInvarianceTest, SuggestTagsUnionMergeMatchesOneEngine) {
   const DatasetConfig config = TestConfig(47);
-  auto local = BuildLocal(config);
+  auto reference = BuildReference(config);
   auto sharded = BuildSharded(config, 4);
 
   QueryExpansionOptions options;
@@ -271,7 +238,7 @@ TEST(ShardedInvarianceTest, SuggestTagsUnionMergeMatchesLocal) {
   for (const UserId user : {UserId{5}, UserId{80}, UserId{200}}) {
     for (const TagId seed : {TagId{0}, TagId{3}}) {
       const TagId seeds[] = {seed};
-      const auto expected = local->SuggestTags(user, seeds, options);
+      const auto expected = reference->SuggestTags(user, seeds, options);
       const auto actual = sharded->SuggestTags(user, seeds, options);
       ASSERT_TRUE(expected.ok()) << expected.status().ToString();
       ASSERT_TRUE(actual.ok()) << actual.status().ToString();
