@@ -40,8 +40,8 @@
 #include "bench_common.h"
 #include "graph/graph_generators.h"
 #include "graph/graph_io.h"
-#include "proximity/shared_proximity_provider.h"
 #include "ingest/compaction_policy.h"
+#include "proximity/proximity_provider.h"
 #include "service/local_search_service.h"
 #include "storage/item_store_io.h"
 #include "util/rng.h"
@@ -518,11 +518,11 @@ int main(int argc, char** argv) {
     Rng graph_rng(target_edges);
     SocialGraph graph = GenerateErdosRenyi(users, 10.0, &graph_rng);
 
-    // Product edit path: the provider (1-partition router) — validate,
+    // Product edit path: the provider — validate,
     // two row replacements, publish, fold when the policy fires.
-    SharedProximityProvider::Options provider_options;
+    ProximityProvider::Options provider_options;
     provider_options.warm_top_n = 0;
-    SharedProximityProvider provider(graph, provider_options);
+    ProximityProvider provider(graph, provider_options);
     Rng edit_rng(target_edges + 1);
     LatencyRecorder overlay_us;
     for (int i = 0; i < kEdits; ++i) {

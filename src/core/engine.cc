@@ -12,8 +12,6 @@
 #include "geo/geo_point.h"
 #include "geo/geo_social.h"
 #include "persist/fs_util.h"
-#include "proximity/shared_proximity_provider.h"
-#include "proximity_service/proximity_router.h"
 #include "topk/topk_heap.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -48,25 +46,13 @@ SocialSearchEngine::SocialSearchEngine(ItemStore store, Options options)
 
 std::shared_ptr<ProximityProvider> SocialSearchEngine::MakeProximityProvider(
     SocialGraph graph, const Options& options) {
-  if (options.proximity_partitions > 1) {
-    ProximityServiceRouter::Options router_options;
-    router_options.num_partitions = options.proximity_partitions;
-    router_options.model = options.proximity_model;
-    router_options.cache_capacity =
-        std::max<size_t>(1, options.proximity_cache_capacity);
-    router_options.warm_top_n = options.proximity_warm_top_n;
-    router_options.fold_policy = options.proximity_fold_policy;
-    return std::make_shared<ProximityServiceRouter>(
-        std::move(graph), std::move(router_options));
-  }
-  SharedProximityProvider::Options provider_options;
+  ProximityProvider::Options provider_options;
   provider_options.model = options.proximity_model;
-  provider_options.cache_capacity =
-      std::max<size_t>(1, options.proximity_cache_capacity);
+  provider_options.cache_capacity = options.proximity_cache_capacity;
   provider_options.warm_top_n = options.proximity_warm_top_n;
   provider_options.fold_policy = options.proximity_fold_policy;
-  return std::make_shared<SharedProximityProvider>(
-      std::move(graph), std::move(provider_options));
+  return std::make_shared<ProximityProvider>(std::move(graph),
+                                             std::move(provider_options));
 }
 
 Result<std::unique_ptr<SocialSearchEngine>> SocialSearchEngine::Build(

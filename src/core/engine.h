@@ -107,7 +107,7 @@ class SocialSearchEngine {
   struct Options {
     /// The graph + proximity surface this engine consumes. When null,
     /// Build(graph, store, options) wraps the passed graph in a PRIVATE
-    /// SharedProximityProvider built from the knobs below — the
+    /// ProximityProvider built from the knobs below — the
     /// single-engine deployment. Services that run several engines pass
     /// ONE shared provider here instead, so the graph and the score
     /// cache exist once, not once per shard.
@@ -123,13 +123,6 @@ class SocialSearchEngine {
     /// generation bump (0 disables). Ignored when proximity_provider is
     /// set.
     size_t proximity_warm_top_n = 16;
-    /// User partitions of the private provider: 1 builds the single
-    /// SharedProximityProvider; > 1 builds a ProximityServiceRouter that
-    /// hash-partitions users across that many serving units (each with
-    /// its own cache / single-flight / warm-over, cross-partition edits
-    /// through the partition boundary). Ignored when proximity_provider
-    /// is set.
-    size_t proximity_partitions = 1;
     /// When the private provider folds its delta-overlay patch into a
     /// fresh base CSR; null selects AdaptiveOverlayFoldPolicy defaults.
     /// Ignored when proximity_provider is set.
@@ -147,7 +140,7 @@ class SocialSearchEngine {
   };
 
   /// Builds an engine over `graph` and `store` (both consumed). The graph
-  /// is wrapped in a private SharedProximityProvider;
+  /// is wrapped in a private ProximityProvider;
   /// options.proximity_provider must be null on this overload (a shared
   /// provider already owns its graph — use the overload below).
   static Result<std::unique_ptr<SocialSearchEngine>> Build(SocialGraph graph,
@@ -183,8 +176,8 @@ class SocialSearchEngine {
       const std::string& dir, persist::LoadedEngineState loaded,
       Options options);
 
-  /// The ONE mapping from engine options to a SharedProximityProvider
-  /// over `graph` (model default, cache-capacity clamp, warm-over knob).
+  /// The ONE mapping from engine options to a ProximityProvider over
+  /// `graph` (model, cache capacity, warm-over and fold-policy knobs).
   /// Build(graph, store, options) uses it for the private provider, and
   /// multi-engine services use it to construct the provider they share —
   /// same knobs, same behavior, one place to extend.

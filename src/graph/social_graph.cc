@@ -7,23 +7,19 @@
 
 namespace amici {
 
-GraphOverlay::GraphOverlay(
-    std::vector<std::shared_ptr<const RowMap>> buckets, int64_t slot_delta)
-    : buckets_(std::move(buckets)), slot_delta_(slot_delta) {
-  AMICI_CHECK(!buckets_.empty()) << "an overlay needs at least one bucket";
-  for (const auto& bucket : buckets_) {
-    if (bucket == nullptr) continue;
-    num_rows_ += bucket->size();
-    for (const auto& [user, row] : *bucket) num_slots_ += row->size();
-  }
+GraphOverlay::GraphOverlay(std::shared_ptr<const RowMap> rows,
+                           int64_t slot_delta)
+    : rows_(std::move(rows)), slot_delta_(slot_delta) {
+  AMICI_CHECK(rows_ != nullptr);
+  for (const auto& [user, row] : *rows_) num_slots_ += row->size();
 }
 
 size_t GraphOverlay::MemoryBytes() const {
   // Rows dominate; the per-entry map overhead is approximated by the
   // node (key + two pointers) it costs in practice.
   size_t bytes = num_slots_ * sizeof(UserId);
-  bytes += num_rows_ * (sizeof(UserId) + 2 * sizeof(void*) +
-                        sizeof(std::shared_ptr<const Row>));
+  bytes += num_rows() * (sizeof(UserId) + 2 * sizeof(void*) +
+                         sizeof(std::shared_ptr<const Row>));
   return bytes;
 }
 

@@ -8,17 +8,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/hash.h"
 #include "util/ids.h"
 
 namespace amici {
-
-/// Owner partition of user `u` when users are split across `n` partitions
-/// (the proximity service's routing function). Matches the item-sharding
-/// idiom: a strong mix so contiguous user ids spread evenly.
-inline uint32_t GraphPartitionOf(UserId u, size_t n) {
-  return n <= 1 ? 0 : static_cast<uint32_t>(Mix64(u) % n);
-}
 
 /// An immutable patch of whole adjacency rows layered over a base CSR:
 /// for each touched user the overlay stores that user's COMPLETE current
@@ -27,56 +19,41 @@ inline uint32_t GraphPartitionOf(UserId u, size_t n) {
 /// diffing adds/tombstones per probe) keeps neighbor iteration a single
 /// span either way — queries cannot tell an overlaid graph from a flat
 /// one, which is what the churn-invariance suite proves.
-///
-/// Rows are grouped into buckets by GraphPartitionOf so a partitioned
-/// proximity service can own / persist / fold each partition's resident
-/// rows independently; single-provider deployments use one bucket.
 class GraphOverlay {
  public:
   using Row = std::vector<UserId>;
   using RowMap = std::unordered_map<UserId, std::shared_ptr<const Row>>;
 
-  /// `buckets[GraphPartitionOf(u, buckets.size())]` holds u's row, if
-  /// replaced. `slot_delta` is (total adjacency entries of the overlaid
-  /// graph) − (entries of the base CSR) — kept precomputed so num_edges()
-  /// stays O(1). Null bucket pointers are treated as empty.
-  GraphOverlay(std::vector<std::shared_ptr<const RowMap>> buckets,
-               int64_t slot_delta);
+  /// `rows` (non-null) holds the replacement row of every patched user.
+  /// `slot_delta` is (total adjacency entries of the overlaid graph) −
+  /// (entries of the base CSR) — kept precomputed so num_edges() stays
+  /// O(1).
+  GraphOverlay(std::shared_ptr<const RowMap> rows, int64_t slot_delta);
 
   /// The replacement row of `u`, or null when the base row stands.
   const Row* Find(UserId u) const {
-    const auto& bucket = buckets_[GraphPartitionOf(u, buckets_.size())];
-    if (bucket == nullptr) return nullptr;
-    const auto it = bucket->find(u);
-    return it == bucket->end() ? nullptr : it->second.get();
+    const auto it = rows_->find(u);
+    return it == rows_->end() ? nullptr : it->second.get();
   }
 
-  /// Replacement rows across all buckets.
-  size_t num_rows() const { return num_rows_; }
+  /// Replacement rows.
+  size_t num_rows() const { return rows_->size(); }
   /// Adjacency entries across all replacement rows.
   size_t num_slots() const { return num_slots_; }
   /// Adjacency-slot difference vs the base CSR.
   int64_t slot_delta() const { return slot_delta_; }
-  size_t num_buckets() const { return buckets_.size(); }
-  const std::shared_ptr<const RowMap>& bucket(size_t i) const {
-    return buckets_[i];
-  }
 
-  /// Visits every replacement row as fn(UserId, const Row&), bucket by
-  /// bucket (order within a bucket is unspecified).
+  /// Visits every replacement row as fn(UserId, const Row&) (order is
+  /// unspecified).
   template <typename Fn>
   void ForEachRow(Fn fn) const {
-    for (const auto& bucket : buckets_) {
-      if (bucket == nullptr) continue;
-      for (const auto& [user, row] : *bucket) fn(user, *row);
-    }
+    for (const auto& [user, row] : *rows_) fn(user, *row);
   }
 
   size_t MemoryBytes() const;
 
  private:
-  std::vector<std::shared_ptr<const RowMap>> buckets_;
-  size_t num_rows_ = 0;
+  std::shared_ptr<const RowMap> rows_;
   size_t num_slots_ = 0;
   int64_t slot_delta_ = 0;
 };

@@ -665,10 +665,8 @@ Result<SocialGraph> ParseGraphSegmentPayload(std::string_view payload) {
     return Status::Corruption("graph overlay tail has trailing bytes");
   }
   if (rows->empty()) return base;
-  std::vector<std::shared_ptr<const GraphOverlay::RowMap>> buckets;
-  buckets.push_back(std::move(rows));
   return SocialGraph(base, std::make_shared<const GraphOverlay>(
-                               std::move(buckets), slot_delta));
+                               std::move(rows), slot_delta));
 }
 
 Result<LoadedEngineState> LoadEngineSnapshot(

@@ -1,15 +1,24 @@
 #ifndef AMICI_PROXIMITY_PROXIMITY_PROVIDER_H_
 #define AMICI_PROXIMITY_PROXIMITY_PROVIDER_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 #include "graph/social_graph.h"
 #include "proximity/proximity_model.h"
+#include "proximity_service/delta_overlay_graph.h"
+#include "proximity_service/overlay_fold_policy.h"
+#include "util/atomic_shared_ptr.h"
 #include "util/ids.h"
 #include "util/status.h"
 
 namespace amici {
+
+class SingleFlightProximity;
+class WarmOverWorker;
 
 /// How one GetProximity call was satisfied (per-request observability:
 /// the engine folds this into SearchStats, so SearchResponse reports how
@@ -43,34 +52,41 @@ struct ProximityProviderStats {
   /// Folds do NOT bump this — a fold changes the representation, not the
   /// graph.
   uint64_t generations_published = 0;
-  /// Vectors currently resident in the cache (summed across partitions).
+  /// Vectors currently resident in the cache.
   size_t cache_entries = 0;
-
-  // Delta-overlay / partitioned-service counters (all 0 for providers
-  // without an overlay or partitions).
-  /// User partitions behind this provider (1 = unpartitioned).
-  size_t partitions = 1;
   /// Replacement rows currently overlaying the base CSR.
   size_t overlay_rows = 0;
   /// Folds performed (patch merged into a fresh base CSR).
   uint64_t overlay_folds = 0;
-  /// Cross-partition edit halves routed through the partition boundary.
-  uint64_t boundary_crossings = 0;
-  /// Remote endpoints materialized as partition frontiers (summed).
-  size_t frontier_users = 0;
 };
 
 /// The one shared graph + proximity surface behind every engine and
-/// shard.
+/// shard: one graph, one model, one generation-keyed LRU cache. An
+/// N-shard service constructs exactly one provider, which is what
+/// collapses N graph replicas into one and N cache-miss proximity
+/// computations into 1 per (user, generation).
 ///
 /// The provider owns the social graph (publishing new generations
-/// RCU-style, exactly like engine snapshots), the proximity model, and a
-/// single generation-keyed score cache. Engines CONSUME it: they pin a
-/// (graph, generation) pair into each EngineSnapshot and ask the provider
-/// for proximity vectors against that pinned pair, so a query racing a
-/// friendship edit is always scored against one consistent generation.
+/// RCU-style, exactly like engine snapshots), the proximity model, and
+/// the score cache. Engines CONSUME it: they pin a (graph, generation)
+/// pair into each EngineSnapshot and ask the provider for proximity
+/// vectors against that pinned pair, so a query racing a friendship edit
+/// is always scored against one consistent generation.
 ///
-/// Thread-safety contract (all implementations):
+///  * single-flight: concurrent GetProximity misses for the same (user,
+///    generation) share ONE model computation;
+///  * warm-over: after a friendship edit publishes a new generation, a
+///    background thread recomputes the top-`warm_top_n` hottest users
+///    against the new graph;
+///  * delta-overlay edits: AddFriendship/RemoveFriendship replace the two
+///    endpoint adjacency rows in a patch over the immutable base CSR —
+///    O(deg(u) + deg(v)) plus an O(patch rows) shallow map clone, not an
+///    O(E) CSR rebuild — and the fold policy decides when the patch is
+///    folded into a fresh base. The O(E) flatten runs OFF the writer lock
+///    and republishes the SAME generation (representation change only),
+///    so concurrent edits and readers never wait on it.
+///
+/// Thread-safety contract:
 ///  * Acquire / GetProximity / stats are safe from any number of threads,
 ///    concurrently with each other AND with friendship edits;
 ///  * AddFriendship / RemoveFriendship serialize among themselves and
@@ -85,27 +101,50 @@ class ProximityProvider {
     uint64_t generation = 0;
   };
 
-  virtual ~ProximityProvider() = default;
+  struct Options {
+    /// Null selects forward-push PPR (restart 0.15, epsilon 1e-4) — the
+    /// same default the engine always used.
+    std::shared_ptr<const ProximityModel> model;
+    /// LRU capacity of the score cache; clamped to >= 1.
+    size_t cache_capacity = 4096;
+    /// Hottest users recomputed in the background after a generation
+    /// bump. 0 disables warm-over (useful for exact-count tests).
+    size_t warm_top_n = 16;
+    /// When to fold the overlay patch into a fresh base CSR; null
+    /// selects AdaptiveOverlayFoldPolicy defaults.
+    std::shared_ptr<const OverlayFoldPolicy> fold_policy;
+  };
+
+  /// Takes ownership of `graph` as generation 0 (any overlay it carries,
+  /// e.g. restored from a snapshot's overlay tail, is adopted as the
+  /// starting patch).
+  ProximityProvider(SocialGraph graph, Options options);
+
+  /// Joins the warm-over worker.
+  ~ProximityProvider();
+
+  ProximityProvider(const ProximityProvider&) = delete;
+  ProximityProvider& operator=(const ProximityProvider&) = delete;
 
   /// The current graph generation (lock-free load).
-  virtual GraphView Acquire() const = 0;
+  GraphView Acquire() const { return *state_.load(); }
 
   /// Returns the proximity vector of `source` computed against `graph` /
   /// `generation` — normally the pair the caller pinned via Acquire() (or
   /// an EngineSnapshot). Cached per (source, generation); concurrent
   /// misses for the same key share ONE computation. `outcome`, when
   /// non-null, reports how the call was satisfied.
-  virtual std::shared_ptr<const ProximityVector> GetProximity(
+  std::shared_ptr<const ProximityVector> GetProximity(
       const SocialGraph& graph, UserId source, uint64_t generation,
-      ProximityOutcome* outcome = nullptr) = 0;
+      ProximityOutcome* outcome = nullptr);
 
   /// Edits one undirected edge and publishes a new graph generation.
   /// Validation happens here — the single place the graph lives:
   /// endpoints outside the graph and self-edges are InvalidArgument,
   /// duplicate adds are AlreadyExists, missing removes are NotFound; no
   /// rebuild happens on any rejected edit.
-  virtual Status AddFriendship(UserId u, UserId v) = 0;
-  virtual Status RemoveFriendship(UserId u, UserId v) = 0;
+  Status AddFriendship(UserId u, UserId v);
+  Status RemoveFriendship(UserId u, UserId v);
 
   /// Validation-only preview of Add/RemoveFriendship against the CURRENT
   /// generation — the same rules the edit itself applies, with no
@@ -113,30 +152,59 @@ class ProximityProvider {
   /// structural rules (endpoint range, self-edge), for callers that must
   /// not judge edge existence against a graph that queued edits may
   /// still change (see SearchService::EnqueueAddFriendship).
-  virtual Status ValidateEdit(UserId u, UserId v, bool adding,
-                              bool check_existence) const = 0;
+  Status ValidateEdit(UserId u, UserId v, bool adding,
+                      bool check_existence) const;
 
   /// The proximity model scores are computed with (pure and stateless).
-  virtual const ProximityModel& model() const = 0;
+  const ProximityModel& model() const { return *model_; }
 
   /// Counter snapshot (internally consistent enough for tests: counters
   /// are monotone and quiesced reads are exact).
-  virtual ProximityProviderStats stats() const = 0;
+  ProximityProviderStats stats() const;
 
   /// Blocks until every background warm-over round queued so far has
-  /// been applied or superseded. No-op for providers without warm-over.
-  virtual void WaitForWarmup() {}
+  /// been applied or superseded. No-op when warm-over is off.
+  void WaitForWarmup();
 
   /// Forces the delta-overlay patch (if any) to fold into a fresh base
   /// CSR, regardless of the fold policy; returns the number of patch
   /// rows folded away. Representation-only: the published graph content
-  /// and generation are unchanged. No-op (0) for providers without an
-  /// overlay.
-  virtual size_t FoldOverlay() { return 0; }
+  /// and generation are unchanged.
+  size_t FoldOverlay();
 
   /// Users in the current graph generation (graphs never change their
   /// vertex set — edits rewire edges only).
   size_t num_users() const { return Acquire().graph->num_users(); }
+
+ private:
+  /// Shared edit path: validates, applies both halves to the overlay,
+  /// publishes the next generation, queues a warm-over round, and
+  /// triggers a fold when the policy says so.
+  Status EditEdge(UserId u, UserId v, bool insert);
+
+  std::shared_ptr<const ProximityModel> model_;
+  std::shared_ptr<const OverlayFoldPolicy> fold_policy_;
+  const size_t warm_top_n_;
+
+  /// Writer-side graph state — guarded by writer_mutex_, except that the
+  /// fold's O(E) flatten runs between two critical sections (see
+  /// DeltaOverlayGraph's fold protocol).
+  DeltaOverlayGraph delta_;
+
+  /// The published (graph, generation) pair — readers load lock-free,
+  /// edits store under writer_mutex_ (RCU-style, like engine snapshots).
+  AtomicSharedPtr<const GraphView> state_;
+  mutable std::mutex writer_mutex_;
+
+  std::unique_ptr<SingleFlightProximity> flight_;
+  std::atomic<uint64_t> warmed_{0};
+  std::atomic<uint64_t> generations_{0};
+  std::atomic<uint64_t> folds_{0};
+
+  /// Declared after flight_ so the worker thread (which calls into
+  /// flight_) is joined before the flight machinery dies. Null when
+  /// warm-over is off.
+  std::unique_ptr<WarmOverWorker> warm_;
 };
 
 }  // namespace amici

@@ -15,10 +15,8 @@
 
 namespace amici {
 
-/// The generation-keyed cache + single-flight computation core every
-/// proximity serving unit is built from (extracted from the PR 4
-/// SharedProximityProvider so the partitioned router can instantiate it
-/// once PER PARTITION): concurrent Get() misses for the same (user,
+/// The generation-keyed cache + single-flight computation core of the
+/// ProximityProvider: concurrent Get() misses for the same (user,
 /// generation) share ONE model computation — the losers wait on the
 /// winner instead of redundantly recomputing.
 ///
@@ -26,7 +24,8 @@ namespace amici {
 /// of threads concurrently.
 class SingleFlightProximity {
  public:
-  /// `model` is not owned and must outlive this object.
+  /// `model` is not owned and must outlive this object;
+  /// `cache_capacity` is clamped to >= 1.
   SingleFlightProximity(const ProximityModel* model, size_t cache_capacity);
 
   SingleFlightProximity(const SingleFlightProximity&) = delete;

@@ -13,11 +13,10 @@
 
 namespace amici {
 
-/// The background warm-over thread a proximity serving unit runs after a
+/// The background warm-over thread the ProximityProvider runs after a
 /// friendship edit publishes a new generation: recompute the hottest
 /// users against the new graph so the cache does not restart cold on
-/// every edge churn. Extracted from the PR 4 SharedProximityProvider so
-/// the partitioned router can run one per partition.
+/// every edge churn.
 ///
 /// Newer tasks supersede queued ones (only the newest generation is worth
 /// warming), so the backlog is at most one task, and a round is abandoned

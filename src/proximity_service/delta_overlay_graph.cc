@@ -7,35 +7,27 @@
 
 namespace amici {
 
-DeltaOverlayGraph::DeltaOverlayGraph(SocialGraph graph, size_t num_buckets)
-    : base_(graph.BaseGraph()),
-      buckets_(std::max<size_t>(1, num_buckets)) {
+DeltaOverlayGraph::DeltaOverlayGraph(SocialGraph graph)
+    : base_(graph.BaseGraph()) {
   if (!graph.has_overlay()) return;
-  // Re-bucket an inherited patch (snapshot restore) under OUR bucket
-  // count; the rows themselves are shared, not copied.
-  std::vector<std::shared_ptr<GraphOverlay::RowMap>> maps(buckets_.size());
+  // Adopt an inherited patch (snapshot restore) row by row, so every row
+  // gets a sequence number for the fold protocol.
+  auto rows = std::make_shared<GraphOverlay::RowMap>();
   graph.overlay()->ForEachRow([&](UserId u, const GraphOverlay::Row& row) {
-    const size_t b = GraphPartitionOf(u, buckets_.size());
-    if (maps[b] == nullptr) {
-      maps[b] = std::make_shared<GraphOverlay::RowMap>();
-    }
-    maps[b]->emplace(u, std::make_shared<const GraphOverlay::Row>(row));
+    rows->emplace(u, std::make_shared<const GraphOverlay::Row>(row));
     row_seq_[u] = ++last_seq_;
     ++patch_rows_;
     patch_slots_ += row.size();
     slot_delta_ += static_cast<int64_t>(row.size()) -
                    static_cast<int64_t>(base_.Degree(u));
   });
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    buckets_[b].rows = std::move(maps[b]);
-  }
+  if (!rows->empty()) rows_ = std::move(rows);
 }
 
 std::vector<UserId> DeltaOverlayGraph::CurrentRow(UserId u) const {
-  const Bucket& bucket = buckets_[GraphPartitionOf(u, buckets_.size())];
-  if (bucket.rows != nullptr) {
-    const auto it = bucket.rows->find(u);
-    if (it != bucket.rows->end()) return *it->second;
+  if (rows_ != nullptr) {
+    const auto it = rows_->find(u);
+    if (it != rows_->end()) return *it->second;
   }
   const auto base_row = base_.Friends(u);
   return {base_row.begin(), base_row.end()};
@@ -52,11 +44,9 @@ void DeltaOverlayGraph::ApplyHalf(UserId u, UserId v, bool insert) {
     row.erase(it);
   }
 
-  Bucket& bucket = buckets_[GraphPartitionOf(u, buckets_.size())];
-  const bool patched_before =
-      bucket.rows != nullptr && bucket.rows->count(u) > 0;
-  auto next = bucket.rows != nullptr
-                  ? std::make_shared<GraphOverlay::RowMap>(*bucket.rows)
+  const bool patched_before = rows_ != nullptr && rows_->count(u) > 0;
+  auto next = rows_ != nullptr
+                  ? std::make_shared<GraphOverlay::RowMap>(*rows_)
                   : std::make_shared<GraphOverlay::RowMap>();
   if (patched_before) {
     patch_slots_ += row.size();
@@ -66,19 +56,15 @@ void DeltaOverlayGraph::ApplyHalf(UserId u, UserId v, bool insert) {
     patch_slots_ += row.size();
   }
   (*next)[u] = std::make_shared<const GraphOverlay::Row>(std::move(row));
-  bucket.rows = std::move(next);
+  rows_ = std::move(next);
   slot_delta_ += insert ? 1 : -1;
   row_seq_[u] = ++last_seq_;
 }
 
 SocialGraph DeltaOverlayGraph::Compose() const {
   if (patch_rows_ == 0) return base_;
-  std::vector<std::shared_ptr<const GraphOverlay::RowMap>> maps;
-  maps.reserve(buckets_.size());
-  for (const Bucket& bucket : buckets_) maps.push_back(bucket.rows);
-  return SocialGraph(
-      base_, std::make_shared<const GraphOverlay>(std::move(maps),
-                                                  slot_delta_));
+  return SocialGraph(base_,
+                     std::make_shared<const GraphOverlay>(rows_, slot_delta_));
 }
 
 DeltaOverlayGraph::FoldPin DeltaOverlayGraph::PinForFold() const {
@@ -95,10 +81,9 @@ size_t DeltaOverlayGraph::AdoptFolded(const FoldPin& pin,
   patch_rows_ = 0;
   patch_slots_ = 0;
   slot_delta_ = 0;
-  for (Bucket& bucket : buckets_) {
-    if (bucket.rows == nullptr) continue;
+  if (rows_ != nullptr) {
     auto kept = std::make_shared<GraphOverlay::RowMap>();
-    for (const auto& [user, row] : *bucket.rows) {
+    for (const auto& [user, row] : *rows_) {
       // A row edited after the pin is NOT covered by the folded base;
       // keep it (it is a complete replacement, valid over any base).
       if (row_seq_.at(user) > pin.seq) {
@@ -111,7 +96,7 @@ size_t DeltaOverlayGraph::AdoptFolded(const FoldPin& pin,
         ++folded;
       }
     }
-    bucket.rows = kept->empty() ? nullptr : std::move(kept);
+    rows_ = kept->empty() ? nullptr : std::move(kept);
   }
   for (auto it = row_seq_.begin(); it != row_seq_.end();) {
     it = it->second <= pin.seq ? row_seq_.erase(it) : std::next(it);

@@ -13,16 +13,15 @@
 namespace amici {
 
 /// The WRITER-side state of a delta-overlay graph: an immutable base CSR
-/// plus, per partition bucket, the copy-on-write map of replacement rows
-/// edits have produced since the last fold. One friendship edit costs
-/// O(deg(u) + deg(v)) row rebuilds plus an O(rows-in-bucket) shallow map
-/// clone — NOT the O(E) full-CSR rebuild the provider used to pay — and
-/// Compose() publishes the result as an ordinary (immutable, shareable)
-/// SocialGraph.
+/// plus the copy-on-write map of replacement rows edits have produced
+/// since the last fold. One friendship edit costs O(deg(u) + deg(v)) row
+/// rebuilds plus an O(patch rows) shallow map clone — NOT the O(E)
+/// full-CSR rebuild the provider used to pay — and Compose() publishes
+/// the result as an ordinary (immutable, shareable) SocialGraph.
 ///
 /// Concurrency contract: this class has NO internal synchronization. The
-/// owner (a ProximityServiceRouter / SharedProximityProvider) serializes
-/// every call under its writer mutex; readers only ever touch the
+/// owner (the ProximityProvider) serializes every call under its writer
+/// mutex; readers only ever touch the
 /// immutable SocialGraph objects Compose() hands out. The one deliberate
 /// exception is the fold protocol, designed so the O(E) rebuild runs with
 /// the writer mutex RELEASED:
@@ -37,23 +36,22 @@ namespace amici {
 /// adjacency, so it stays correct over any base).
 class DeltaOverlayGraph {
  public:
-  /// Adopts `graph` as the starting state, splitting any overlay it
-  /// already carries (e.g. restored from a snapshot's overlay tail)
-  /// across `num_buckets` buckets keyed by GraphPartitionOf.
-  DeltaOverlayGraph(SocialGraph graph, size_t num_buckets);
+  /// Adopts `graph` as the starting state, including any overlay it
+  /// already carries (e.g. restored from a snapshot's overlay tail).
+  explicit DeltaOverlayGraph(SocialGraph graph);
 
   DeltaOverlayGraph(const DeltaOverlayGraph&) = delete;
   DeltaOverlayGraph& operator=(const DeltaOverlayGraph&) = delete;
 
   /// Replaces u's row with (current row ± v): `insert` adds v, otherwise
   /// removes it. One undirected edit is two halves — ApplyHalf(u, v) and
-  /// ApplyHalf(v, u) — which a partitioned owner routes to the buckets
-  /// owning u and v respectively. The caller has already validated the
-  /// edit (this CHECKs instead of returning Status).
+  /// ApplyHalf(v, u). The caller has already validated the edit (this
+  /// CHECKs instead of returning Status).
   void ApplyHalf(UserId u, UserId v, bool insert);
 
   /// The current base + patch composed as an immutable SocialGraph
-  /// (pure CSR when the patch is empty). O(num_buckets).
+  /// (pure CSR when the patch is empty). O(patch rows); the row map
+  /// itself is shared, not copied.
   SocialGraph Compose() const;
 
   /// Fold protocol — see the class comment.
@@ -76,24 +74,16 @@ class DeltaOverlayGraph {
     return s;
   }
 
-  size_t num_buckets() const { return buckets_.size(); }
   size_t num_users() const { return base_.num_users(); }
-  /// Replacement rows currently held by one bucket.
-  size_t bucket_rows(size_t b) const {
-    return buckets_[b].rows == nullptr ? 0 : buckets_[b].rows->size();
-  }
 
  private:
-  struct Bucket {
-    /// Published map (shared with composed graphs); cloned on write.
-    std::shared_ptr<const GraphOverlay::RowMap> rows;
-  };
-
   /// u's current row content (overlay row if patched, else base row).
   std::vector<UserId> CurrentRow(UserId u) const;
 
   SocialGraph base_;  // always pure CSR
-  std::vector<Bucket> buckets_;
+  /// Published row map (shared with composed graphs); cloned on write.
+  /// Null when the patch is empty.
+  std::shared_ptr<const GraphOverlay::RowMap> rows_;
   /// Last-edit sequence per patched row (writer bookkeeping only; pruned
   /// by AdoptFolded alongside the rows).
   std::unordered_map<UserId, uint64_t> row_seq_;

@@ -1,5 +1,6 @@
 #include "service/search_service.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 #include <utility>
@@ -27,6 +28,21 @@ void MergeSearchStats(const SearchStats& from, SearchStats* into) {
 }
 
 // --- Query QoS edge ----------------------------------------------------
+
+namespace {
+
+/// The untrusted-input check every request passes before admission: a
+/// timeout the deadline machinery cannot represent is rejected, not
+/// converted.
+Status ValidateRequest(const SearchRequest& request) {
+  if (!CancellationToken::ValidTimeout(request.timeout_ms)) {
+    return Status::InvalidArgument(
+        "timeout_ms must be <= 0 (no deadline) or finite and at most 1e12");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 std::shared_ptr<AdmissionController> SearchService::admission() const {
   std::lock_guard<std::mutex> lock(background_mutex_);
@@ -119,13 +135,17 @@ Result<SearchResponse> SearchService::RunOneRequest(
 }
 
 Result<SearchResponse> SearchService::Search(const SearchRequest& request) {
+  AMICI_RETURN_IF_ERROR(ValidateRequest(request));
   return RunOneRequest(request, admission());
 }
 
 std::vector<Result<SearchResponse>> SearchService::SearchBatch(
     std::span<const SearchRequest> requests) {
   const std::shared_ptr<AdmissionController> controller = admission();
-  if (controller == nullptr) {
+  const bool all_valid = std::all_of(
+      requests.begin(), requests.end(),
+      [](const SearchRequest& r) { return ValidateRequest(r).ok(); });
+  if (controller == nullptr && all_valid) {
     // Pass-through: hand the whole batch to the backend (it parallelizes
     // internally); account each row.
     qos_admitted_.fetch_add(requests.size(), std::memory_order_relaxed);
@@ -135,9 +155,10 @@ std::vector<Result<SearchResponse>> SearchService::SearchBatch(
     return responses;
   }
 
-  // Per-row admission BEFORE dispatch: shed rows answer immediately
-  // (their slot in the batch is a well-formed shed response), the rest
-  // run as one backend batch with degrade overrides already applied.
+  // Per-row validation and admission BEFORE dispatch: rejected and shed
+  // rows answer immediately (their slot in the batch holds the error or
+  // a well-formed shed response), the rest run as one backend batch with
+  // degrade overrides already applied.
   std::vector<Result<SearchResponse>> responses(
       requests.size(), Status::Internal("batch slot never executed"));
   std::vector<SearchRequest> to_run;
@@ -148,16 +169,23 @@ std::vector<Result<SearchResponse>> SearchService::SearchBatch(
   to_run_slot.reserve(requests.size());
   row_degraded.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    const AdmissionController::Ticket ticket =
-        controller->Admit(EstimateQueryCost(requests[i].query));
-    if (ticket.decision == AdmissionController::Decision::kShed) {
-      qos_shed_.fetch_add(1, std::memory_order_relaxed);
-      responses[i] = MakeShedResponse(requests[i]);
+    const Status valid = ValidateRequest(requests[i]);
+    if (!valid.ok()) {
+      responses[i] = valid;
       continue;
     }
-    ++slots_held;
-    const bool degrade =
-        ticket.decision == AdmissionController::Decision::kDegrade;
+    bool degrade = false;
+    if (controller != nullptr) {
+      const AdmissionController::Ticket ticket =
+          controller->Admit(EstimateQueryCost(requests[i].query));
+      if (ticket.decision == AdmissionController::Decision::kShed) {
+        qos_shed_.fetch_add(1, std::memory_order_relaxed);
+        responses[i] = MakeShedResponse(requests[i]);
+        continue;
+      }
+      ++slots_held;
+      degrade = ticket.decision == AdmissionController::Decision::kDegrade;
+    }
     to_run.push_back(degrade
                          ? ApplyDegrade(requests[i], controller->options())
                          : requests[i]);

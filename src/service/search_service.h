@@ -42,7 +42,9 @@ struct SearchRequest {
   /// Owner-diversified top-k: at most this many results from any single
   /// owner (0 = unconstrained). Exact — see SocialSearchEngine::QueryDiverse.
   size_t max_per_owner = 0;
-  /// Deadline in milliseconds from request start; 0 disables. Enforced
+  /// Deadline in milliseconds from request start; <= 0 disables. NaN,
+  /// +inf and values above CancellationToken::kMaxTimeoutMs are rejected
+  /// with InvalidArgument before admission. Enforced
   /// COOPERATIVELY: the service derives a CancellationToken from it that
   /// the search algorithms probe per posting-list block / candidate
   /// batch, so an expired deadline stops work *inside* a shard (stats.
@@ -145,15 +147,17 @@ class SearchService : public IngestSink, public CompactionTarget {
   // scheduler drives.
 
   /// Executes one request (plain or owner-diversified top-k) through the
-  /// QoS edge: admission control first (when enabled — may shed or
+  /// QoS edge: request validation (InvalidArgument for an unusable
+  /// timeout_ms), then admission control (when enabled — may shed or
   /// degrade, reported honestly in the response), then the backend.
   /// Non-virtual on purpose: the edge is the ONE place every query
   /// passes, whatever the backend (template method over SearchImpl).
   Result<SearchResponse> Search(const SearchRequest& request);
 
   /// Executes a batch; results are positionally aligned with `requests`.
-  /// Backends parallelize internally where they can. Admission is
-  /// per-request: some rows of one batch may run while others shed.
+  /// Backends parallelize internally where they can. Validation and
+  /// admission are per-request: some rows of one batch may run while
+  /// others are rejected or shed.
   std::vector<Result<SearchResponse>> SearchBatch(
       std::span<const SearchRequest> requests);
 

@@ -245,7 +245,7 @@ std::vector<Result<SearchResponse>> ShardedSearchService::ExecuteRequests(
   while (!pending.empty()) {
     const std::shared_ptr<Round> round =
         DispatchRound(requests, pending, start, geo_fallback_allowed);
-    AwaitRound(*round, requests, pending, start);
+    AwaitRound(*round);
     std::vector<Pending> deeper;
     for (size_t r = 0; r < pending.size(); ++r) {
       const size_t i = pending[r].request;
@@ -332,22 +332,17 @@ ShardedSearchService::DispatchRound(std::span<const SearchRequest> requests,
   return round;
 }
 
-void ShardedSearchService::AwaitRound(Round& round,
-                                      std::span<const SearchRequest> requests,
-                                      std::span<const Pending> pending,
-                                      Clock::time_point start) const {
+void ShardedSearchService::AwaitRound(Round& round) const {
   std::unique_lock<std::mutex> lock(round.mutex);
-  for (size_t r = 0; r < pending.size(); ++r) {
+  for (size_t r = 0; r < round.tokens.size(); ++r) {
     const auto row_done = [&] { return round.remaining[r] == 0; };
-    const double timeout_ms = requests[pending[r].request].timeout_ms;
-    if (timeout_ms <= 0.0) {
+    const std::optional<Clock::time_point> deadline =
+        round.tokens[r].deadline();
+    if (!deadline.has_value()) {
       round.cv.wait(lock, row_done);
       continue;
     }
-    const auto deadline =
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double, std::milli>(timeout_ms));
-    if (!round.cv.wait_until(lock, deadline, row_done)) {
+    if (!round.cv.wait_until(lock, *deadline, row_done)) {
       // Row abandoned. The token's own deadline already expired, but
       // cancel explicitly anyway: it is the only signal on paths a clock
       // probe cannot reach promptly, and it makes abandonment visible to
@@ -832,12 +827,9 @@ std::string ShardedSearchService::StatsSummary() const {
       static_cast<unsigned long long>(proximity.generations_published),
       proximity.cache_entries);
   summary += StringPrintf(
-      "[proximity_service] partitions=%zu overlay_rows=%zu folds=%llu "
-      "boundary_crossings=%llu frontier_users=%zu\n",
-      proximity.partitions, proximity.overlay_rows,
-      static_cast<unsigned long long>(proximity.overlay_folds),
-      static_cast<unsigned long long>(proximity.boundary_crossings),
-      proximity.frontier_users);
+      "[proximity_service] overlay_rows=%zu folds=%llu\n",
+      proximity.overlay_rows,
+      static_cast<unsigned long long>(proximity.overlay_folds));
   summary += QosSummaryLine();
   return summary;
 }

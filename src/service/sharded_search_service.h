@@ -62,8 +62,8 @@ class ShardedSearchService : public SearchService {
     size_t num_shards = 4;
     /// Applied to every shard engine. The proximity knobs
     /// (proximity_model / proximity_cache_capacity /
-    /// proximity_warm_top_n) configure the ONE SharedProximityProvider
-    /// Build creates and hands to every shard;
+    /// proximity_warm_top_n / proximity_fold_policy) configure the ONE
+    /// ProximityProvider Build creates and hands to every shard;
     /// engine.proximity_provider itself must be left null (Build owns
     /// provider construction).
     SocialSearchEngine::Options engine;
@@ -230,11 +230,9 @@ class ShardedSearchService : public SearchService {
       std::span<const Pending> pending, Clock::time_point start,
       bool geo_fallback_allowed);
 
-  /// Waits for each row's shards until the row's deadline; a row that
-  /// overruns is abandoned and its stragglers are cancelled.
-  void AwaitRound(Round& round, std::span<const SearchRequest> requests,
-                  std::span<const Pending> pending,
-                  Clock::time_point start) const;
+  /// Waits for each row's shards until the deadline of the row's token;
+  /// a row that overruns is abandoned and its stragglers are cancelled.
+  void AwaitRound(Round& round) const;
 
   /// Merges row `r` of an awaited round exactly over the shards that
   /// reported. Returns the final response, or nullopt after deepening

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 
 namespace amici {
 
@@ -40,8 +41,21 @@ class CancellationToken {
     return token;
   }
 
+  /// Largest timeout FromTimeout takes (about 31 years): far enough
+  /// below the steady clock's range that start + timeout cannot
+  /// overflow.
+  static constexpr double kMaxTimeoutMs = 1e12;
+
+  /// True for the timeouts FromTimeout takes: <= 0 (no deadline) or
+  /// finite up to kMaxTimeoutMs. NaN, +inf and larger values are out:
+  /// converting them to a clock duration is undefined behaviour.
+  static bool ValidTimeout(double timeout_ms) {
+    return timeout_ms <= kMaxTimeoutMs;  // false for NaN
+  }
+
   /// Expires `timeout_ms` after `start` — the SearchRequest::timeout_ms
   /// mapping. timeout_ms <= 0 returns the never-cancelling token.
+  /// Requires ValidTimeout(timeout_ms).
   static CancellationToken FromTimeout(double timeout_ms,
                                        Clock::time_point start) {
     if (timeout_ms <= 0.0) return CancellationToken();
@@ -75,6 +89,12 @@ class CancellationToken {
       return true;
     }
     return false;
+  }
+
+  /// The deadline, or nullopt when this token has none.
+  std::optional<Clock::time_point> deadline() const {
+    if (state_ == nullptr || !state_->has_deadline) return std::nullopt;
+    return state_->deadline;
   }
 
   /// True when this token can ever expire (armed). A never-cancelling

@@ -36,7 +36,7 @@ void ExpectSameAdjacency(const SocialGraph& got, const SocialGraph& want) {
 SocialGraph OverlaidGraph(size_t num_users, int edits, uint64_t seed) {
   Rng rng(seed);
   SocialGraph base = GenerateErdosRenyi(num_users, 4.0, &rng);
-  DeltaOverlayGraph delta(base, 2);
+  DeltaOverlayGraph delta(base);
   for (int i = 0; i < edits; ++i) {
     const UserId u = static_cast<UserId>(rng.UniformIndex(num_users));
     UserId v = static_cast<UserId>(rng.UniformIndex(num_users));

@@ -1,11 +1,13 @@
-// SharedProximityProvider: the one graph + proximity surface behind every
+// ProximityProvider: the one graph + proximity surface behind every
 // engine. Covers the RCU-style generation publishes, edge-edit
 // validation, single-flight computation de-duplication (the property the
 // sharded fan-out relies on: 1 computation per (user, generation), not
-// N), and the background warm-over after a generation bump.
+// N), the background warm-over after a generation bump, and overlay
+// folds being invisible to everything but the representation.
 
-#include "proximity/shared_proximity_provider.h"
+#include "proximity/proximity_provider.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -15,6 +17,7 @@
 #include "graph/graph_generators.h"
 #include "gtest/gtest.h"
 #include "proximity/hop_decay.h"
+#include "proximity_service/overlay_fold_policy.h"
 #include "util/rng.h"
 
 namespace amici {
@@ -43,9 +46,9 @@ class CountingModel : public ProximityModel {
   mutable std::atomic<bool> stalled_{false};
 };
 
-SharedProximityProvider::Options TestOptions(
+ProximityProvider::Options TestOptions(
     std::shared_ptr<const ProximityModel> model, size_t warm_top_n = 0) {
-  SharedProximityProvider::Options options;
+  ProximityProvider::Options options;
   options.model = std::move(model);
   options.cache_capacity = 64;
   options.warm_top_n = warm_top_n;
@@ -57,9 +60,9 @@ SocialGraph TestGraph(size_t num_users = 100) {
   return GenerateErdosRenyi(num_users, 5.0, &rng);
 }
 
-TEST(SharedProximityProviderTest, CachesPerUserAndGeneration) {
+TEST(ProximityProviderTest, CachesPerUserAndGeneration) {
   auto model = std::make_shared<CountingModel>();
-  SharedProximityProvider provider(TestGraph(), TestOptions(model));
+  ProximityProvider provider(TestGraph(), TestOptions(model));
 
   const auto view = provider.Acquire();
   EXPECT_EQ(view.generation, 0u);
@@ -81,15 +84,14 @@ TEST(SharedProximityProviderTest, CachesPerUserAndGeneration) {
   EXPECT_EQ(stats.cache_entries, 1u);
 }
 
-TEST(SharedProximityProviderTest, EditsPublishNewGenerationsRcuStyle) {
+TEST(ProximityProviderTest, EditsPublishNewGenerationsRcuStyle) {
   auto model = std::make_shared<CountingModel>();
-  SharedProximityProvider provider(TestGraph(4), TestOptions(model));
+  ProximityProvider provider(TestGraph(4), TestOptions(model));
   // A 4-user graph from the generator may have arbitrary edges; work with
   // an explicit pair instead.
   GraphBuilder builder(4);
   ASSERT_TRUE(builder.AddEdge(0, 1).ok());
-  SharedProximityProvider explicit_provider(builder.Build(),
-                                            TestOptions(model));
+  ProximityProvider explicit_provider(builder.Build(), TestOptions(model));
 
   const auto before = explicit_provider.Acquire();
   ASSERT_TRUE(explicit_provider.AddFriendship(1, 2).ok());
@@ -107,11 +109,11 @@ TEST(SharedProximityProviderTest, EditsPublishNewGenerationsRcuStyle) {
   EXPECT_FALSE(explicit_provider.Acquire().graph->HasEdge(1, 2));
 }
 
-TEST(SharedProximityProviderTest, ValidatesEditsWithoutRebuilding) {
+TEST(ProximityProviderTest, ValidatesEditsWithoutRebuilding) {
   auto model = std::make_shared<CountingModel>();
   GraphBuilder builder(3);
   ASSERT_TRUE(builder.AddEdge(0, 1).ok());
-  SharedProximityProvider provider(builder.Build(), TestOptions(model));
+  ProximityProvider provider(builder.Build(), TestOptions(model));
 
   EXPECT_EQ(provider.AddFriendship(0, 0).code(),
             StatusCode::kInvalidArgument);
@@ -125,11 +127,34 @@ TEST(SharedProximityProviderTest, ValidatesEditsWithoutRebuilding) {
   // None of the rejected edits published anything.
   EXPECT_EQ(provider.Acquire().generation, 0u);
   EXPECT_EQ(provider.stats().generations_published, 0u);
+
+  // The preview applies the same rules without editing; without the
+  // existence check only the structural rules remain.
+  EXPECT_EQ(provider.ValidateEdit(0, 1, /*adding=*/true,
+                                  /*check_existence=*/true)
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_TRUE(provider.ValidateEdit(0, 1, /*adding=*/true,
+                                    /*check_existence=*/false)
+                  .ok());
+  EXPECT_EQ(provider.ValidateEdit(0, 2, /*adding=*/false,
+                                  /*check_existence=*/true)
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(provider.ValidateEdit(2, 2, /*adding=*/true,
+                                  /*check_existence=*/false)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(provider.ValidateEdit(0, 9, /*adding=*/false,
+                                  /*check_existence=*/false)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(provider.Acquire().generation, 0u);
 }
 
-TEST(SharedProximityProviderTest, SingleFlightSharesOneComputation) {
+TEST(ProximityProviderTest, SingleFlightSharesOneComputation) {
   auto model = std::make_shared<CountingModel>();
-  SharedProximityProvider provider(TestGraph(), TestOptions(model));
+  ProximityProvider provider(TestGraph(), TestOptions(model));
   const auto view = provider.Acquire();
 
   // Stall the model so every thread reaches the miss path before the
@@ -157,9 +182,9 @@ TEST(SharedProximityProviderTest, SingleFlightSharesOneComputation) {
             static_cast<uint64_t>(kThreads - 1));
 }
 
-TEST(SharedProximityProviderTest, WarmOverRecomputesHotUsersInBackground) {
+TEST(ProximityProviderTest, WarmOverRecomputesHotUsersInBackground) {
   auto model = std::make_shared<CountingModel>();
-  SharedProximityProvider provider(TestGraph(),
+  ProximityProvider provider(TestGraph(),
                                    TestOptions(model, /*warm_top_n=*/4));
   const auto view = provider.Acquire();
 
@@ -189,6 +214,79 @@ TEST(SharedProximityProviderTest, WarmOverRecomputesHotUsersInBackground) {
   (void)provider.GetProximity(*fresh.graph, 2, fresh.generation, &outcome);
   EXPECT_EQ(outcome, ProximityOutcome::kCacheHit);
   EXPECT_EQ(model->computations(), cold_computations + 4);
+}
+
+void ExpectSameVector(const std::shared_ptr<const ProximityVector>& got,
+                      const std::shared_ptr<const ProximityVector>& want) {
+  ASSERT_NE(got, nullptr);
+  ASSERT_NE(want, nullptr);
+  const auto& g = got->ranked();
+  const auto& w = want->ranked();
+  ASSERT_EQ(g.size(), w.size());
+  for (size_t i = 0; i < w.size(); ++i) {
+    ASSERT_EQ(g[i].user, w[i].user) << "entry " << i;
+    ASSERT_EQ(g[i].score, w[i].score) << "entry " << i;
+  }
+}
+
+TEST(ProximityProviderTest, FoldsMidChurnAreInvisible) {
+  // Twin providers over the same graph and edit stream: one folds after
+  // a handful of patched rows (plus explicit folds on top), the other
+  // keeps the default policy, which never folds a patch this small.
+  ProximityProvider::Options twin_options;
+  twin_options.model = std::make_shared<HopDecayProximity>();
+  twin_options.warm_top_n = 0;
+  ProximityProvider reference(TestGraph(60), twin_options);
+
+  ProximityProvider::Options fold_options = twin_options;
+  AdaptiveOverlayFoldPolicy::Options fold;
+  fold.max_patch_rows = 4;
+  fold_options.fold_policy = std::make_shared<AdaptiveOverlayFoldPolicy>(fold);
+  ProximityProvider folding(TestGraph(60), fold_options);
+
+  Rng rng(5);
+  for (int step = 0; step < 40; ++step) {
+    const UserId u = static_cast<UserId>(rng.UniformIndex(60));
+    UserId v = static_cast<UserId>(rng.UniformIndex(60));
+    if (u == v) v = (v + 1) % 60;
+    const bool adding = !reference.Acquire().graph->HasEdge(u, v);
+    ASSERT_EQ((adding ? reference.AddFriendship(u, v)
+                      : reference.RemoveFriendship(u, v))
+                  .code(),
+              (adding ? folding.AddFriendship(u, v)
+                      : folding.RemoveFriendship(u, v))
+                  .code())
+        << "step " << step;
+    if (step % 7 == 0) folding.FoldOverlay();
+
+    const auto ref_view = reference.Acquire();
+    const auto fold_view = folding.Acquire();
+    // Folds change representation, NOT the published generation.
+    ASSERT_EQ(ref_view.generation, fold_view.generation);
+    ASSERT_EQ(ref_view.graph->num_edges(), fold_view.graph->num_edges());
+    for (int probe = 0; probe < 2; ++probe) {
+      const UserId user = static_cast<UserId>(rng.UniformIndex(60));
+      const auto ref_friends = ref_view.graph->Friends(user);
+      const auto fold_friends = fold_view.graph->Friends(user);
+      ASSERT_TRUE(std::equal(ref_friends.begin(), ref_friends.end(),
+                             fold_friends.begin(), fold_friends.end()))
+          << "step " << step << " user " << user;
+      ExpectSameVector(
+          folding.GetProximity(*fold_view.graph, user, fold_view.generation),
+          reference.GetProximity(*ref_view.graph, user, ref_view.generation));
+    }
+  }
+  EXPECT_GT(folding.stats().overlay_folds, 0u);
+  EXPECT_EQ(reference.stats().overlay_folds, 0u);
+  EXPECT_GT(reference.stats().overlay_rows, 0u);
+
+  // A quiescent fold leaves no patch behind and keeps the generation.
+  const uint64_t generation = reference.Acquire().generation;
+  EXPECT_GT(reference.FoldOverlay(), 0u);
+  EXPECT_EQ(reference.stats().overlay_rows, 0u);
+  EXPECT_FALSE(reference.Acquire().graph->has_overlay());
+  EXPECT_EQ(reference.Acquire().generation, generation);
+  EXPECT_EQ(reference.FoldOverlay(), 0u);  // nothing left to fold
 }
 
 }  // namespace

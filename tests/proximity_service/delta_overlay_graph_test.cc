@@ -58,15 +58,13 @@ std::set<Edge> EdgeSet(const SocialGraph& graph) {
   return edges;
 }
 
-class DeltaOverlayGraphTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(DeltaOverlayGraphTest, RandomToggleTwinMatchesRebuild) {
+TEST(DeltaOverlayGraphTest, RandomToggleTwinMatchesRebuild) {
   Rng rng(11);
   const size_t kUsers = 60;
   const SocialGraph seed = GenerateErdosRenyi(kUsers, 4.0, &rng);
   std::set<Edge> edges = EdgeSet(seed);
 
-  DeltaOverlayGraph delta(seed, GetParam());
+  DeltaOverlayGraph delta(seed);
   for (int step = 0; step < 400; ++step) {
     const UserId u = static_cast<UserId>(rng.UniformIndex(kUsers));
     UserId v = static_cast<UserId>(rng.UniformIndex(kUsers));
@@ -86,13 +84,13 @@ TEST_P(DeltaOverlayGraphTest, RandomToggleTwinMatchesRebuild) {
   EXPECT_GT(delta.signals().patch_rows, 0u);
 }
 
-TEST_P(DeltaOverlayGraphTest, QuiescentFoldEmptiesPatchAndPreservesGraph) {
+TEST(DeltaOverlayGraphTest, QuiescentFoldEmptiesPatchAndPreservesGraph) {
   Rng rng(23);
   const size_t kUsers = 40;
   const SocialGraph seed = GenerateErdosRenyi(kUsers, 3.0, &rng);
   std::set<Edge> edges = EdgeSet(seed);
 
-  DeltaOverlayGraph delta(seed, GetParam());
+  DeltaOverlayGraph delta(seed);
   ApplyEdit(&delta, 1, 2, edges.insert(Canonical(1, 2)).second);
   ApplyEdit(&delta, 3, 4, edges.insert(Canonical(3, 4)).second);
   ASSERT_GE(delta.signals().patch_rows, 2u);
@@ -111,14 +109,14 @@ TEST_P(DeltaOverlayGraphTest, QuiescentFoldEmptiesPatchAndPreservesGraph) {
   ExpectSameGraph(after, Rebuild(kUsers, edges));
 }
 
-TEST_P(DeltaOverlayGraphTest, EditsBetweenPinAndAdoptSurviveTheFold) {
+TEST(DeltaOverlayGraphTest, EditsBetweenPinAndAdoptSurviveTheFold) {
   const size_t kUsers = 30;
   GraphBuilder builder(kUsers);
   ASSERT_TRUE(builder.AddEdge(0, 1).ok());
   ASSERT_TRUE(builder.AddEdge(2, 3).ok());
   std::set<Edge> edges = {{0, 1}, {2, 3}};
 
-  DeltaOverlayGraph delta(builder.Build(), GetParam());
+  DeltaOverlayGraph delta(builder.Build());
   ApplyEdit(&delta, 5, 6, true);
   edges.insert({5, 6});
 
@@ -147,14 +145,14 @@ TEST_P(DeltaOverlayGraphTest, EditsBetweenPinAndAdoptSurviveTheFold) {
   ExpectSameGraph(delta.Compose(), Rebuild(kUsers, edges));
 }
 
-TEST_P(DeltaOverlayGraphTest, AdoptsInheritedOverlayAndRebuckets) {
+TEST(DeltaOverlayGraphTest, AdoptsInheritedOverlay) {
   Rng rng(31);
   const size_t kUsers = 50;
   const SocialGraph seed = GenerateErdosRenyi(kUsers, 3.0, &rng);
   std::set<Edge> edges = EdgeSet(seed);
 
   // Produce an overlaid graph with one delta...
-  DeltaOverlayGraph first(seed, 1);
+  DeltaOverlayGraph first(seed);
   for (const UserId u : {UserId{10}, UserId{20}, UserId{30}}) {
     const Edge e = Canonical(u, u + 1);
     const bool insert = edges.find(e) == edges.end();
@@ -168,10 +166,8 @@ TEST_P(DeltaOverlayGraphTest, AdoptsInheritedOverlayAndRebuckets) {
   const SocialGraph overlaid = first.Compose();
   ASSERT_TRUE(overlaid.has_overlay());
 
-  // ... and adopt it in a second with a DIFFERENT bucket count (the
-  // restart-into-different-partitioning path).
-  DeltaOverlayGraph second(overlaid, GetParam());
-  EXPECT_EQ(second.num_buckets(), std::max<size_t>(GetParam(), 1));
+  // ... and adopt it in a second (the snapshot-restore path).
+  DeltaOverlayGraph second(overlaid);
   EXPECT_EQ(second.signals().patch_rows, first.signals().patch_rows);
   ExpectSameGraph(second.Compose(), Rebuild(kUsers, edges));
 
@@ -187,10 +183,10 @@ TEST_P(DeltaOverlayGraphTest, AdoptsInheritedOverlayAndRebuckets) {
   ExpectSameGraph(second.Compose(), Rebuild(kUsers, edges));
 }
 
-TEST_P(DeltaOverlayGraphTest, SignalsTrackPatchGrowth) {
+TEST(DeltaOverlayGraphTest, SignalsTrackPatchGrowth) {
   GraphBuilder builder(16);
   ASSERT_TRUE(builder.AddEdge(0, 1).ok());
-  DeltaOverlayGraph delta(builder.Build(), GetParam());
+  DeltaOverlayGraph delta(builder.Build());
 
   OverlaySignals s = delta.signals();
   EXPECT_EQ(s.patch_rows, 0u);
@@ -210,9 +206,6 @@ TEST_P(DeltaOverlayGraphTest, SignalsTrackPatchGrowth) {
   EXPECT_EQ(s.patch_slots, 2u);
   EXPECT_EQ(delta.Compose().num_edges(), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Buckets, DeltaOverlayGraphTest,
-                         ::testing::Values(1, 2, 4));
 
 }  // namespace
 }  // namespace amici

@@ -8,6 +8,7 @@
 // mid-fan-out — no timing luck involved.
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <random>
 #include <thread>
@@ -276,6 +277,65 @@ TEST(DeadlineInvarianceTest, ArmedButUnexpiredTokenIsBitIdentical) {
     ASSERT_TRUE(generous.ok());
     ExpectBitIdentical(untimed.value(), generous.value());
   }
+}
+
+// timeout_ms is untrusted input: NaN, infinities and huge values must be
+// refused at the QoS edge, before anything converts them to a clock
+// duration (that conversion is undefined behaviour for such values).
+constexpr double kUnrepresentableTimeouts[] = {
+    std::numeric_limits<double>::quiet_NaN(),
+    std::numeric_limits<double>::infinity(), 1e300};
+
+TEST(DeadlineValidationTest, UnrepresentableTimeoutIsInvalidArgument) {
+  auto service = BuildSleepyService(std::chrono::milliseconds(0));
+  for (const double timeout_ms : kUnrepresentableTimeouts) {
+    SCOPED_TRACE(timeout_ms);
+    const auto response = service->Search(TestRequest(/*user=*/7, timeout_ms));
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Rejected before admission: nothing was counted as admitted.
+  EXPECT_EQ(service->qos_counters().admitted, 0u);
+
+  // <= 0 keeps meaning "no deadline", -inf included.
+  for (const double timeout_ms :
+       {0.0, -5.0, -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(timeout_ms);
+    const auto response = service->Search(TestRequest(/*user=*/7, timeout_ms));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_FALSE(response.value().deadline_exceeded);
+    EXPECT_EQ(response.value().shards_touched, 3u);
+  }
+}
+
+TEST(DeadlineValidationTest, BatchRejectsOnlyTheUnrepresentableRows) {
+  auto service = BuildSleepyService(std::chrono::milliseconds(0));
+  for (const bool admission : {false, true}) {
+    SCOPED_TRACE(admission ? "admission control" : "pass-through");
+    if (admission) service->EnableAdmissionControl({});
+    std::vector<SearchRequest> requests;
+    requests.push_back(TestRequest(/*user=*/40, /*timeout_ms=*/0.0));
+    for (const double timeout_ms : kUnrepresentableTimeouts) {
+      requests.push_back(TestRequest(/*user=*/41, timeout_ms));
+    }
+    requests.push_back(TestRequest(/*user=*/42, /*timeout_ms=*/60000.0));
+
+    const auto responses = service->SearchBatch(requests);
+    ASSERT_EQ(responses.size(), requests.size());
+    for (size_t i = 0; i < responses.size(); ++i) {
+      SCOPED_TRACE(i);
+      if (i == 0 || i + 1 == responses.size()) {
+        ASSERT_TRUE(responses[i].ok()) << responses[i].status().ToString();
+        EXPECT_FALSE(responses[i].value().deadline_exceeded);
+        EXPECT_EQ(responses[i].value().shards_touched, 3u);
+      } else {
+        ASSERT_FALSE(responses[i].ok());
+        EXPECT_EQ(responses[i].status().code(), StatusCode::kInvalidArgument);
+      }
+    }
+  }
+  // Only the valid rows of both batches were admitted.
+  EXPECT_EQ(service->qos_counters().admitted, 4u);
 }
 
 }  // namespace

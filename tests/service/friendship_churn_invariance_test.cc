@@ -6,15 +6,14 @@
 // through the ProximityProvider, and every shard must adopt it before the
 // next query).
 //
-// The fleet covers both axes of the serving topology:
-//  * 1/2/4-SHARD services over the single shared provider (the item
+// The fleet covers two axes:
+//  * SHARDS: 1/2/4-shard services over the one shared provider (the item
 //    corpus is partitioned; the graph is one provider);
-//  * 1/2/4-PARTITION proximity routers (the graph itself is partitioned
-//    across delta-overlay partitions behind the routing boundary), with
-//    an aggressive fold policy AND explicit mid-run FoldOverlay calls on
-//    some backends only — folds are representation changes, so a backend
-//    that folds constantly must stay bit-identical to one that never
-//    does, at the same published generations.
+//  * FOLDS: 1- and 4-shard services whose provider runs an aggressive
+//    fold policy AND explicit mid-run FoldOverlay calls — folds are
+//    representation changes, so a backend that folds constantly must
+//    stay bit-identical to one that never does, at the same published
+//    generations.
 
 #include <memory>
 #include <string>
@@ -23,7 +22,6 @@
 
 #include "gtest/gtest.h"
 #include "proximity_service/overlay_fold_policy.h"
-#include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
 #include "testing/reference_engine.h"
 #include "util/rng.h"
@@ -33,7 +31,7 @@ namespace amici {
 namespace {
 
 constexpr size_t kShardCounts[] = {1, 2, 4};
-constexpr size_t kPartitionCounts[] = {1, 2, 4};
+constexpr size_t kFoldingShardCounts[] = {1, 4};
 
 DatasetConfig TestConfig(uint64_t seed) {
   DatasetConfig config = SmallDataset();
@@ -48,33 +46,20 @@ DatasetConfig TestConfig(uint64_t seed) {
 struct Backend {
   std::unique_ptr<SearchService> service;
   std::string label;
-  /// Call FoldOverlay explicitly during the run (only meaningful for
-  /// overlay-backed providers — i.e. all of them, post delta-overlay).
+  /// Call FoldOverlay explicitly during the run.
   bool fold_midrun = false;
   /// Assert the backend actually folded by the end.
   bool expect_folds = false;
 };
 
 std::unique_ptr<SearchService> BuildSharded(const DatasetConfig& config,
-                                            size_t shards) {
+                                            size_t shards,
+                                            bool aggressive_folds) {
   // The generator is deterministic: every backend consumes the identical
   // corpus and graph.
   Dataset dataset = GenerateDataset(config).value();
   ShardedSearchService::Options options;
   options.num_shards = shards;
-  auto sharded = ShardedSearchService::Build(std::move(dataset.graph),
-                                             std::move(dataset.store),
-                                             std::move(options));
-  EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
-  return std::move(sharded).value();
-}
-
-std::unique_ptr<SearchService> BuildPartitioned(const DatasetConfig& config,
-                                                size_t partitions,
-                                                bool aggressive_folds) {
-  Dataset dataset = GenerateDataset(config).value();
-  LocalSearchService::Options options;
-  options.engine.proximity_partitions = partitions;
   if (aggressive_folds) {
     // Fold after a handful of patched rows, so the run folds many times
     // mid-churn instead of once at the end.
@@ -83,31 +68,28 @@ std::unique_ptr<SearchService> BuildPartitioned(const DatasetConfig& config,
     options.engine.proximity_fold_policy =
         std::make_shared<AdaptiveOverlayFoldPolicy>(fold);
   }
-  auto local = LocalSearchService::Build(std::move(dataset.graph),
-                                         std::move(dataset.store),
-                                         std::move(options));
-  EXPECT_TRUE(local.ok()) << local.status().ToString();
-  return std::move(local).value();
+  auto sharded = ShardedSearchService::Build(std::move(dataset.graph),
+                                             std::move(dataset.store),
+                                             std::move(options));
+  EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
+  return std::move(sharded).value();
 }
 
 std::vector<Backend> BuildFleet(const DatasetConfig& config) {
   std::vector<Backend> fleet;
   for (const size_t shards : kShardCounts) {
+    // The default policy folds rarely if ever: the contrast.
     Backend b;
-    b.service = BuildSharded(config, shards);
+    b.service = BuildSharded(config, shards, /*aggressive_folds=*/false);
     b.label = std::to_string(shards) + "-shard";
     fleet.push_back(std::move(b));
   }
-  for (const size_t partitions : kPartitionCounts) {
-    // Partitioned routers run the aggressive policy + explicit mid-run
-    // folds on the multi-partition variants; the 1-partition router keeps
-    // the default policy (folds rarely if ever) as the contrast.
+  for (const size_t shards : kFoldingShardCounts) {
     Backend b;
-    const bool aggressive = partitions > 1;
-    b.service = BuildPartitioned(config, partitions, aggressive);
-    b.label = std::to_string(partitions) + "-partition";
-    b.fold_midrun = aggressive;
-    b.expect_folds = aggressive;
+    b.service = BuildSharded(config, shards, /*aggressive_folds=*/true);
+    b.label = std::to_string(shards) + "-shard-folding";
+    b.fold_midrun = true;
+    b.expect_folds = true;
     fleet.push_back(std::move(b));
   }
   return fleet;
