@@ -278,12 +278,6 @@ Result<QueryResult> SocialSearchEngine::Query(const SocialQuery& query,
   } else {
     result.stats.proximity_cache_hits = 1;
   }
-  // Compaction observability rides each response: cumulative engine
-  // counters at response time (mode split + merged/touched work).
-  result.stats.compactions_merge = stats_.merge_compactions();
-  result.stats.compactions_rebuild = stats_.rebuild_compactions();
-  result.stats.compaction_items_merged = stats_.compaction_items_merged();
-  result.stats.compaction_lists_touched = stats_.compaction_lists_touched();
 
   // Fold in the un-indexed tail: exhaustively score items the indexes do
   // not cover yet, merging with the algorithm's (exact) indexed top-k.
@@ -358,7 +352,7 @@ Result<QueryResult> SocialSearchEngine::QueryDiverse(
       fetched.items = std::move(diverse);
       return fetched;
     }
-    fetch_k *= 2;
+    fetch_k = NextDiverseFetchDepth(fetch_k);
   }
 }
 

@@ -2,6 +2,7 @@
 #define AMICI_CORE_ENGINE_H_
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -244,7 +245,7 @@ class SocialSearchEngine {
   ///
   /// NOTE with a SHARED provider: only THIS engine adopts the new
   /// generation here. The owning service must call SyncGraph() on its
-  /// other engines (see ShardedSearchService::AddFriendship).
+  /// other engines (see SearchService::AddFriendship).
   Status AddFriendship(UserId u, UserId v);
   Status RemoveFriendship(UserId u, UserId v);
 
@@ -387,6 +388,16 @@ class SocialSearchEngine {
   };
   LastSave last_save_;
 };
+
+/// The next fetch depth of owner-diversified iterative deepening
+/// (QueryDiverse, and the service's diversified merge): doubles,
+/// saturating instead of wrapping — a depth beyond any corpus exhausts
+/// it, which ends the deepening.
+inline size_t NextDiverseFetchDepth(size_t fetch_k) {
+  return fetch_k > std::numeric_limits<size_t>::max() / 2
+             ? std::numeric_limits<size_t>::max()
+             : fetch_k * 2;
+}
 
 }  // namespace amici
 

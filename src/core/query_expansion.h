@@ -20,9 +20,9 @@ struct TagSuggestion {
   /// normalized; useful for ordering and thresholding).
   float weight;
   /// Number of co-occurring items backing the suggestion — the count
-  /// min_cooccurrence thresholds. Carried in the result so that a sharded
-  /// backend can union-merge per-shard suggestions and apply the
-  /// threshold on the GLOBAL count.
+  /// min_cooccurrence thresholds. Carried in the result so that a
+  /// multi-shard service can union-merge per-shard suggestions and apply
+  /// the threshold on the GLOBAL count.
   uint32_t support = 0;
 };
 

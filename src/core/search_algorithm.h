@@ -63,16 +63,6 @@ struct SearchStats {
   /// Queries whose proximity vector came without computing: a shared-
   /// cache hit, or a join on a concurrent shard's in-flight computation.
   uint64_t proximity_cache_hits = 0;
-  /// Compaction observability riding each response: the serving engine's
-  /// CUMULATIVE compaction counters at response time (set by the engine
-  /// after the algorithm ran, like the proximity counters above; summed
-  /// across shards in SearchResponse::stats). The merge/rebuild split is
-  /// the compaction-mode surface, items_merged/lists_touched the
-  /// incremental-compaction cost surface (see EngineStats).
-  uint64_t compactions_merge = 0;
-  uint64_t compactions_rebuild = 0;
-  uint64_t compaction_items_merged = 0;
-  uint64_t compaction_lists_touched = 0;
   /// True when cancellation (deadline or external cancel) stopped the
   /// query before it examined every eligible candidate: the results are a
   /// best-effort partial, not the exact top-k. OR-merged across shards.

@@ -16,7 +16,8 @@
 namespace amici {
 
 /// What the scheduler compacts: a set of independently-compactable shards
-/// (1 for LocalSearchService). ShardedSearchService implements it.
+/// (1 for LocalSearchService). SearchService implements it; tests
+/// substitute fakes.
 /// ShardSignals/CompactShard must be safe to call from the scheduler
 /// thread concurrently with queries and ingest — which the engines'
 /// snapshot protocol already guarantees.

@@ -36,7 +36,7 @@ void ApplyIngestOps(IngestSink* sink, std::vector<IngestOp> ops,
 
 /// The ingest subsystem's front half: a bounded MPSC queue of item
 /// batches and friendship edits, drained by one dedicated writer thread
-/// into an IngestSink (either SearchService backend).
+/// into an IngestSink (SearchService, or a test fake).
 ///
 /// Producers get an IngestTicket per enqueue and never touch the sink's
 /// writer lock; the writer thread coalesces whatever queued since its

@@ -10,9 +10,9 @@
 
 namespace amici {
 
-/// The synchronous write surface the ingest pipeline drains into. Both
-/// SearchService backends implement it (their existing mutators match
-/// these signatures), which is what lets the pipeline live below the
+/// The synchronous write surface the ingest pipeline drains into.
+/// SearchService implements it with its own mutators (tests substitute
+/// recording fakes), which is what lets the pipeline live below the
 /// service layer without depending on it.
 ///
 /// Contract (inherited by every implementation):

@@ -14,7 +14,8 @@ namespace persist {
 
 namespace {
 constexpr char kManifestMagic[4] = {'A', 'M', 'I', 'M'};
-constexpr uint16_t kManifestFormatVersion = 1;
+/// Version 2 added the shard placement byte after num_shards.
+constexpr uint16_t kManifestFormatVersion = 2;
 constexpr std::string_view kCurrentFile = "CURRENT";
 }  // namespace
 
@@ -32,6 +33,7 @@ std::string Manifest::Serialize() const {
   PutRaw<uint8_t>(has_grid, &out);
   PutRaw<double>(grid_cell_size_deg, &out);
   PutRaw<uint32_t>(num_shards, &out);
+  PutRaw<uint8_t>(static_cast<uint8_t>(placement), &out);
   PutLengthPrefixed(wal_file, &out);
   PutRaw<uint32_t>(static_cast<uint32_t>(segments.size()), &out);
   for (const SegmentInfo& info : segments) {
@@ -63,7 +65,7 @@ Result<Manifest> Manifest::Parse(std::string_view data) {
   if (!GetRaw(body, &offset, &version)) {
     return Status::Corruption("manifest: truncated version");
   }
-  if (version != kManifestFormatVersion) {
+  if (version != 1 && version != kManifestFormatVersion) {
     return Status::Corruption("manifest: unsupported format version " +
                               std::to_string(version));
   }
@@ -78,8 +80,19 @@ Result<Manifest> Manifest::Parse(std::string_view data) {
       !GetRaw(body, &offset, &m.has_impact_ordered) ||
       !GetRaw(body, &offset, &m.has_grid) ||
       !GetRaw(body, &offset, &m.grid_cell_size_deg) ||
-      !GetRaw(body, &offset, &m.num_shards) ||
-      !GetLengthPrefixed(body, &offset, &m.wal_file) ||
+      !GetRaw(body, &offset, &m.num_shards)) {
+    return Status::Corruption("manifest: truncated header");
+  }
+  uint8_t placement = static_cast<uint8_t>(ShardPlacement::kHash);
+  if (version >= 2 && !GetRaw(body, &offset, &placement)) {
+    return Status::Corruption("manifest: truncated header");
+  }
+  if (placement > static_cast<uint8_t>(ShardPlacement::kModulo)) {
+    return Status::Corruption("manifest: unknown shard placement " +
+                              std::to_string(placement));
+  }
+  m.placement = static_cast<ShardPlacement>(placement);
+  if (!GetLengthPrefixed(body, &offset, &m.wal_file) ||
       !GetRaw(body, &offset, &num_segments)) {
     return Status::Corruption("manifest: truncated header");
   }

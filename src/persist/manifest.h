@@ -26,6 +26,16 @@ struct SegmentInfo {
   uint64_t entries = 0;        // items / lists / buckets / cells / edges
 };
 
+/// How a multi-shard service snapshot deals global item ids to shards.
+/// Recorded in the root manifest from format version 2 on; format 1
+/// manifests imply kHash.
+enum class ShardPlacement : uint8_t {
+  /// Retired: shard Mix64(id) % N. Unreadable with more than one shard.
+  kHash = 0,
+  /// Shard id % N at local id id / N.
+  kModulo = 1,
+};
+
 /// The snapshot directory's root metadata: what state the segments
 /// jointly encode and which files are live. Serialized with a trailing
 /// FNV-1a checksum; committed via MANIFEST-<gen> + atomic CURRENT
@@ -48,6 +58,7 @@ struct Manifest {
   // shards live in shard-<i>/ subdirectories, each with its own
   // MANIFEST-<gen> of the same generation. 0 = bare engine snapshot.
   uint32_t num_shards = 0;
+  ShardPlacement placement = ShardPlacement::kModulo;
   std::string wal_file;  // ingest WAL name, empty = none
 
   std::vector<SegmentInfo> segments;

@@ -4,18 +4,18 @@
 #include <memory>
 #include <string>
 
-#include "service/sharded_search_service.h"
+#include "service/search_service.h"
 
 namespace amici {
 
-/// The single-node deployment: a ShardedSearchService with one shard,
-/// labelled "local". With one shard the store moves into the engine
-/// whole, global ids are the engine's ids, and a request runs on the
-/// calling thread — the same path as any other shard count, configured.
-class LocalSearchService final : public ShardedSearchService {
+/// The single-node deployment: a SearchService with one shard, labelled
+/// "local". With one shard the store moves into the engine whole, global
+/// ids are the engine's ids, and a request runs on the calling thread —
+/// the same path as any other shard count, configured.
+class LocalSearchService final : public SearchService {
  public:
   /// options.num_shards is ignored (always 1).
-  using Options = ShardedSearchService::Options;
+  using Options = SearchService::Options;
 
   static Result<std::unique_ptr<LocalSearchService>> Build(
       SocialGraph graph, ItemStore store, Options options = Options()) {
@@ -28,7 +28,7 @@ class LocalSearchService final : public ShardedSearchService {
   }
 
   /// Reopens a one-shard snapshot; a multi-shard one is InvalidArgument
-  /// (open it with ShardedSearchService::OpenSnapshot).
+  /// (open it with SearchService::OpenSnapshot).
   static Result<std::unique_ptr<LocalSearchService>> OpenSnapshot(
       const std::string& dir, Options options,
       const persist::SnapshotOpenOptions& open_options =
@@ -46,7 +46,7 @@ class LocalSearchService final : public ShardedSearchService {
 
  private:
   explicit LocalSearchService(Options options)
-      : ShardedSearchService(std::move(options), "local") {}
+      : SearchService(std::move(options), "local") {}
 };
 
 }  // namespace amici

@@ -20,10 +20,13 @@
 #include "ingest/ingest_sink.h"
 #include "proximity/proximity_provider.h"
 #include "service/admission_controller.h"
+#include "service/service_persistence.h"
 #include "storage/item_store.h"
 #include "util/cancellation.h"
 #include "util/ids.h"
 #include "util/status.h"
+#include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace amici {
 
@@ -31,11 +34,11 @@ namespace amici {
 /// options that used to be separate engine entry points (algorithm
 /// override, owner diversity, deadline). A plain default-constructed
 /// request with just `query` filled in reproduces the old
-/// `engine.Query(query)` behaviour on any backend.
+/// `engine.Query(query)` behaviour at any shard count.
 struct SearchRequest {
   SocialQuery query;
-  /// Execution-strategy hint; nullopt lets the backend choose (hybrid).
-  /// Backends may substitute an equivalent strategy where the hint cannot
+  /// Execution-strategy hint; nullopt lets the service choose (hybrid).
+  /// A shard may substitute an equivalent strategy where the hint cannot
   /// apply (e.g. geo-grid on a shard holding no geo items) — results are
   /// exact either way, only the work profile changes.
   std::optional<AlgorithmId> algorithm;
@@ -48,7 +51,7 @@ struct SearchRequest {
   /// COOPERATIVELY: the service derives a CancellationToken from it that
   /// the search algorithms probe per posting-list block / candidate
   /// batch, so an expired deadline stops work *inside* a shard (stats.
-  /// truncated marks the best-effort partial). The sharded backend
+  /// truncated marks the best-effort partial). A multi-shard service
   /// additionally abandons whole shards at the fan-out barrier and
   /// cancels their stragglers (deadline_exceeded = true, shards_touched /
   /// shards_abandoned = how the fan-out split); the response is the
@@ -56,9 +59,8 @@ struct SearchRequest {
   double timeout_ms = 0.0;
 };
 
-/// The outcome of one service request, backend-agnostic: item ids are in
-/// the service's GLOBAL id space regardless of how the backend partitions
-/// the catalogue.
+/// The outcome of one service request: item ids are in the service's
+/// GLOBAL id space regardless of how the catalogue is spread over shards.
 struct SearchResponse {
   /// Best-first (score-descending, item-id-ascending tie-break) results,
   /// at most `query.k` entries.
@@ -66,19 +68,18 @@ struct SearchResponse {
   /// Work counters, summed across every shard that executed.
   SearchStats stats;
   /// End-to-end latency observed by the service, including fan-out and
-  /// merge for partitioned backends.
+  /// merge.
   double elapsed_ms = 0.0;
-  /// Which strategy executed (the hint, or the backend default). When a
-  /// partitioned backend substituted an equivalent strategy on SOME
-  /// shards only (see SearchRequest::algorithm), the hint's name is kept;
-  /// if every shard substituted, the substitute's name is reported.
+  /// Which strategy executed (the hint, or the default). When some
+  /// shards substituted an equivalent strategy and others did not (see
+  /// SearchRequest::algorithm), the hint's name is kept; if every shard
+  /// substituted, the substitute's name is reported.
   std::string_view algorithm;
-  /// Which backend served the request ("local", "sharded/4", ...).
+  /// Which deployment served the request ("local", "sharded/4", ...).
   std::string_view backend;
-  /// How many partitions contributed results. Normally the backend's
-  /// shard count (1 for local); fewer when a deadline abandoned slow
-  /// shards mid-fan-out or a shard failed (see shards_abandoned /
-  /// shards_failed).
+  /// How many shards contributed results. Normally the shard count;
+  /// fewer when a deadline abandoned slow shards mid-fan-out or a shard
+  /// failed (see shards_abandoned / shards_failed).
   size_t shards_touched = 1;
   /// Shards the deadline abandoned before they reported: their stragglers
   /// were cancelled (cooperatively) and their items are missing from this
@@ -107,66 +108,131 @@ struct SearchResponse {
   bool shed = false;
 };
 
-/// The backend-agnostic query surface: everything callers (examples,
-/// benches, tests, a future RPC layer) need, with no mention of how the
-/// corpus is laid out behind it. Which partition serves a request is a
-/// routing decision inside the implementation, not a caller concern.
+/// The search service: the query surface every caller (examples, benches,
+/// tests, tools) uses. Items are spread over N single-node engines
+/// (shards); the friendship graph and the proximity score cache live in
+/// ONE ProximityProvider that every shard engine consumes — one graph
+/// instance and one proximity computation per cache-missed (user,
+/// generation), no matter the shard count. A request fans out to every
+/// shard and the per-shard top-k lists are merged exactly on (score desc,
+/// global id asc). N = 1 is the single-node deployment (named
+/// LocalSearchService), not a separate implementation.
 ///
-/// Contract shared by all implementations:
+/// Placement: global item `g` lives on shard `g % N` at local id `g / N`.
+/// Global ids are dense and never removed, so placement is pure
+/// arithmetic in both directions, shards stay balanced to within one
+/// item, and N = 1 is the identity. Within a shard, local id order is
+/// global id order restricted to that shard — which is what makes the
+/// tie-break (ascending id) consistent between the per-shard heaps and
+/// the global merge.
+///
+/// Why the merge is exact: an item's blended score depends only on the
+/// item itself, the query, and the owner's proximity — and proximity is
+/// computed on the one shared graph, identically everywhere. Any item in
+/// the global top-k therefore also ranks in its own shard's top-k, so the
+/// union of per-shard top-k lists contains the global top-k, and merging
+/// on score reproduces it bit-for-bit (tests/service/
+/// sharded_invariance_test.cc asserts this against a single engine over
+/// the whole corpus for plain, diverse, geo-filtered and batch requests).
+///
+/// Thread-safety:
 ///  * Search / SearchBatch / SuggestTags are safe from any number of
 ///    threads, concurrently with each other AND with all mutators;
 ///  * AddItem / AddItems / AddFriendship / RemoveFriendship / Compact are
-///    safe concurrently with queries and serialize among themselves;
-///  * Search / SearchBatch results are EXACT and identical across
-///    backends: the same corpus behind a local and a sharded service
-///    returns the same items with the same scores (see
-///    tests/service/sharded_invariance_test.cc). SuggestTags support
-///    counts and thresholds are likewise exact everywhere; suggestion
-///    WEIGHTS may differ across backends in the last float ulps
-///    (per-shard float subtotals vs one double sum), which can reorder
-///    near-tied tags.
+///    safe concurrently with queries and serialize on a service writer
+///    mutex (shard engines additionally serialize internally);
+///  * a fanned-out request pins each shard's snapshot independently, so
+///    an ingest racing a query may be visible on some shards and not yet
+///    on others — each shard's contribution is exact for the state it
+///    pinned. Quiesced states match a single engine: identical float
+///    scores at every rank, identical items except for selection among
+///    entries whose float-rounded scores tie exactly. SuggestTags support
+///    counts and thresholds are likewise exact at every shard count;
+///    suggestion WEIGHTS may differ in the last float ulps (per-shard
+///    float subtotals vs one double sum), which can reorder near-tied
+///    tags.
 ///
-/// The base class additionally owns the OPTIONAL background machinery of
-/// the ingest subsystem (src/ingest/): an MPSC queue + writer thread
-/// (StartIngest / EnqueueItems / Flush) and a background compaction
-/// scheduler (StartAutoCompaction). Both drain into the implementation's
-/// synchronous mutators via the IngestSink / CompactionTarget interfaces
-/// the implementation provides. IMPORTANT for implementers: destructors
-/// of concrete backends must call ShutdownBackgroundWork() FIRST — the
-/// background threads call the implementation's virtuals and must be
-/// joined while the derived object is still alive.
+/// The service also owns the OPTIONAL background machinery of the ingest
+/// subsystem (src/ingest/): an MPSC queue + writer thread (StartIngest /
+/// EnqueueItems / Flush) and a background compaction scheduler
+/// (StartAutoCompaction). Both drain into the synchronous mutators
+/// through the IngestSink / CompactionTarget interfaces; the destructor
+/// stops them before anything else is torn down.
 class SearchService : public IngestSink, public CompactionTarget {
  public:
-  ~SearchService() override = default;
+  struct Options {
+    /// Number of shards; >= 1.
+    size_t num_shards = 4;
+    /// Applied to every shard engine. The proximity knobs
+    /// (proximity_model / proximity_cache_capacity /
+    /// proximity_warm_top_n / proximity_fold_policy) configure the ONE
+    /// ProximityProvider Build creates and hands to every shard;
+    /// engine.proximity_provider itself must be left null (Build owns
+    /// provider construction).
+    SocialSearchEngine::Options engine;
+    /// Fan-out worker threads; 0 sizes the pool to min(num_shards,
+    /// hardware concurrency).
+    size_t fanout_threads = 0;
+  };
 
-  /// Stable backend label ("local", "sharded/4").
-  virtual std::string_view backend_name() const = 0;
-  // num_shards() — number of partitions behind the surface (1 for local)
-  // — is inherited from CompactionTarget, alongside ShardSignals() /
-  // CompactShard(), the per-shard compaction surface the background
-  // scheduler drives.
+  /// Builds the service over `graph` and `store` (both consumed): item g
+  /// is dealt to shard g % N (one shard takes the store whole), the graph
+  /// moves into the one shared ProximityProvider all shards consume.
+  static Result<std::unique_ptr<SearchService>> Build(SocialGraph graph,
+                                                      ItemStore store,
+                                                      Options options);
+
+  /// Reopens a service from a snapshot directory written by
+  /// SaveSnapshot: restores the one shared graph from the root segment,
+  /// maps every shard's segments, replays the WAL's committed tail
+  /// through the normal mutators, and attaches the WAL. The shard count
+  /// comes from the root manifest; options.num_shards is ignored. A
+  /// multi-shard snapshot written under the retired hash placement is
+  /// FailedPrecondition. `replay_stats`, when non-null, receives what the
+  /// replay did.
+  static Result<std::unique_ptr<SearchService>> OpenSnapshot(
+      const std::string& dir, Options options,
+      const persist::SnapshotOpenOptions& open_options =
+          persist::SnapshotOpenOptions(),
+      persist::WalReplayStats* replay_stats = nullptr);
+
+  /// Stops the background ingest/compaction threads (they drain through
+  /// this object's mutators) before the shards go away.
+  ~SearchService() override;
+
+  /// Stable deployment label ("local", "sharded/4").
+  std::string_view backend_name() const { return backend_label_; }
+
+  // --- CompactionTarget: the per-shard compaction surface --------------
+  // The background scheduler triggers exactly the shards whose policy
+  // fires, instead of the fleet-wide Compact(). Signals are read from each
+  // shard engine's snapshot and stats — safe concurrently with queries
+  // and ingest.
+
+  size_t num_shards() const override { return shards_.size(); }
+  CompactionSignals ShardSignals(size_t shard) const override;
+  Status CompactShard(size_t shard,
+                      CompactionOutcome* outcome = nullptr) override;
 
   /// Executes one request (plain or owner-diversified top-k) through the
   /// QoS edge: request validation (InvalidArgument for an unusable
   /// timeout_ms), then admission control (when enabled — may shed or
-  /// degrade, reported honestly in the response), then the backend.
-  /// Non-virtual on purpose: the edge is the ONE place every query
-  /// passes, whatever the backend (template method over SearchImpl).
+  /// degrade, reported honestly in the response), then the fan-out.
   Result<SearchResponse> Search(const SearchRequest& request);
 
   /// Executes a batch; results are positionally aligned with `requests`.
-  /// Backends parallelize internally where they can. Validation and
-  /// admission are per-request: some rows of one batch may run while
-  /// others are rejected or shed.
+  /// The (request x shard) jobs run in parallel. Validation and admission
+  /// are per-request: some rows of one batch may run while others are
+  /// rejected or shed.
   std::vector<Result<SearchResponse>> SearchBatch(
       std::span<const SearchRequest> requests);
 
-  /// Estimated work for `query` on this backend, in candidate units
-  /// (posting entries the tag lists would feed the algorithm + un-indexed
-  /// tail items scanned per query). Reads the current snapshot(s); cheap
-  /// (per-tag document frequencies, no traversal). The admission
-  /// controller's cost gates compare against this number.
-  virtual uint64_t EstimateQueryCost(const SocialQuery& query) const = 0;
+  /// Estimated work for `query`, in candidate units: the sum over shards
+  /// of the posting entries the tag lists would feed the algorithm plus
+  /// the un-indexed tail items scanned per query. Reads the current
+  /// snapshots; cheap (per-tag document frequencies, no traversal). The
+  /// admission controller's cost gates compare against this number.
+  uint64_t EstimateQueryCost(const SocialQuery& query) const;
 
   // --- Query QoS: admission control + honest shedding -------------------
   // Disabled by default: without a controller the edge is a pass-through
@@ -207,38 +273,48 @@ class SearchService : public IngestSink, public CompactionTarget {
   std::string QosSummaryLine() const;
 
   /// Suggests expansion tags for `seed_tags` (sorted, unique) from the
-  /// user's social neighbourhood (see query_expansion.h). Partitioned
-  /// backends union-merge per-shard evidence, applying min_cooccurrence
-  /// on the global support count.
-  virtual Result<std::vector<TagSuggestion>> SuggestTags(
+  /// user's social neighbourhood (see query_expansion.h). Per-shard
+  /// evidence is union-merged, applying min_cooccurrence on the global
+  /// support count.
+  Result<std::vector<TagSuggestion>> SuggestTags(
       UserId user, std::span<const TagId> seed_tags,
-      const QueryExpansionOptions& options = QueryExpansionOptions()) = 0;
+      const QueryExpansionOptions& options = QueryExpansionOptions());
 
-  /// The ONE graph + proximity surface behind this service. Every engine
-  /// the backend runs consumes this same provider, so the graph and the
-  /// proximity score cache exist exactly once regardless of shard count.
-  virtual std::shared_ptr<ProximityProvider> proximity_provider() const = 0;
+  /// The ONE graph + proximity surface behind this service. Every shard
+  /// engine consumes this same provider, so the graph and the proximity
+  /// score cache exist exactly once regardless of shard count.
+  std::shared_ptr<ProximityProvider> proximity_provider() const {
+    return provider_;
+  }
 
   /// Provider counter snapshot (computations, cache hits, in-flight
   /// joins, warm-over work, generations) — the service-stats surface of
   /// the shared proximity layer; per-request counters additionally ride
   /// in SearchResponse::stats.
-  ProximityProviderStats proximity_stats() const {
-    return proximity_provider()->stats();
+  ProximityProviderStats proximity_stats() const { return provider_->stats(); }
+
+  /// Escape hatch for tests/tooling that inspect a shard's engine (e.g.
+  /// asserting every shard snapshot pins the SAME graph instance).
+  SocialSearchEngine* shard_engine(size_t shard) {
+    return shards_[shard].get();
   }
 
   /// Appends one item; returns its GLOBAL id. Ids are assigned densely in
-  /// ingest order on every backend.
-  virtual Result<ItemId> AddItem(const Item& item) = 0;
+  /// ingest order.
+  Result<ItemId> AddItem(const Item& item);
 
-  // AddItems (batch, atomic, one snapshot publish per touched shard,
-  // global ids in batch order) and AddFriendship / RemoveFriendship
-  // (engine status semantics: AlreadyExists / NotFound) are inherited
-  // from IngestSink — they are exactly what the writer thread drains
-  // into.
+  // --- IngestSink: the synchronous mutators the writer thread drains into
+
+  /// Appends a batch atomically (all-or-nothing): global ids in batch
+  /// order, one snapshot publish per touched shard.
+  Result<std::vector<ItemId>> AddItems(std::span<const Item> items) override;
+  /// One edit on the one shared graph; engine status semantics
+  /// (AlreadyExists / NotFound).
+  Status AddFriendship(UserId u, UserId v) override;
+  Status RemoveFriendship(UserId u, UserId v) override;
 
   /// Folds every un-indexed tail into fresh indexes (all shards).
-  virtual Status Compact() = 0;
+  Status Compact();
 
   /// Persists the full service state into `dir` and commits it
   /// atomically (see src/service/service_persistence.h for the layout
@@ -247,8 +323,7 @@ class SearchService : public IngestSink, public CompactionTarget {
   /// so reopening the directory replays exactly the acknowledged tail.
   /// Incremental when `dir` already holds a compatible snapshot.
   /// Serializes with the other mutators; queries are unaffected.
-  virtual Result<persist::SnapshotSaveReport> SaveSnapshot(
-      const std::string& dir) = 0;
+  Result<persist::SnapshotSaveReport> SaveSnapshot(const std::string& dir);
 
   // --- Asynchronous ingest (MPSC queue + writer thread) ----------------
   // The decoupled write path: producers enqueue and immediately return
@@ -313,37 +388,107 @@ class SearchService : public IngestSink, public CompactionTarget {
   /// Background compactions triggered so far (0 when never started).
   uint64_t auto_compactions() const;
 
- protected:
-  /// Backend execution of one request / one batch, AFTER the QoS edge
-  /// decided the request runs (possibly with degrade overrides already
-  /// applied to `request`). Implementations must not call the public
-  /// Search/SearchBatch from inside these (double admission).
-  virtual Result<SearchResponse> SearchImpl(const SearchRequest& request) = 0;
-  virtual std::vector<Result<SearchResponse>> SearchBatchImpl(
-      std::span<const SearchRequest> requests) = 0;
-
-  /// Stops the background threads (scheduler first, then the ingest
-  /// drain). EVERY concrete backend's destructor must call this before
-  /// tearing anything else down — see the class comment.
-  void ShutdownBackgroundWork();
-
- public:
   // --- Introspection (global id space) ---------------------------------
 
-  virtual size_t num_users() const = 0;
-  virtual size_t num_items() const = 0;
+  size_t num_users() const { return provider_->num_users(); }
+  /// Ids admitted so far. May briefly LEAD query visibility while an
+  /// append is in flight (it never lags it: any id a response contains is
+  /// already counted). Do not derive readable ids from it during
+  /// concurrent ingest — see OwnerOf.
+  size_t num_items() const {
+    return num_items_.load(std::memory_order_acquire);
+  }
   /// Items not yet covered by indexes, summed over shards.
-  virtual size_t unindexed_items() const = 0;
-  virtual UserId OwnerOf(ItemId item) const = 0;
-  /// Sorted, unique tags of `item` (copied: partitioned backends cannot
-  /// hand out a stable span across the service boundary).
-  virtual std::vector<TagId> TagsOf(ItemId item) const = 0;
-  virtual std::vector<UserId> FriendsOf(UserId user) const = 0;
-  /// Human-readable per-algorithm query statistics (per shard when
-  /// partitioned).
-  virtual std::string StatsSummary() const = 0;
+  size_t unindexed_items() const;
+  /// `item` must be a published id (obtained from a response or an Add
+  /// return value) — ids merely admitted by an in-flight append are not
+  /// yet readable.
+  UserId OwnerOf(ItemId item) const;
+  /// Sorted, unique tags of `item` (copied out of the owning shard).
+  std::vector<TagId> TagsOf(ItemId item) const;
+  std::vector<UserId> FriendsOf(UserId user) const;
+  /// Human-readable per-shard, per-algorithm query statistics plus the
+  /// proximity and QoS lines.
+  std::string StatsSummary() const;
+
+ protected:
+  /// `backend_label` empty selects "sharded/<N>". options.num_shards == 0
+  /// (OpenFrom only) takes the shard count from the snapshot.
+  SearchService(Options options, std::string backend_label);
+
+  /// The bodies of Build and OpenSnapshot, run on a freshly constructed
+  /// service. OpenFrom rejects a snapshot whose shard count differs from
+  /// a non-zero options.num_shards.
+  Status BuildFrom(SocialGraph graph, ItemStore store);
+  Status OpenFrom(const std::string& dir,
+                  const persist::SnapshotOpenOptions& open_options,
+                  persist::WalReplayStats* replay_stats);
 
  private:
+  using Clock = CancellationToken::Clock;
+
+  /// Where a global item lives: shard g % N, local id g / N.
+  struct ShardRef {
+    size_t shard;
+    ItemId local;
+  };
+  /// A request still being served, possibly a deeper owner-diversified
+  /// round (see ExecuteRequests).
+  struct Pending;
+  /// One fan-out round's shared state (see DispatchRound).
+  struct Round;
+
+  ShardRef Locate(ItemId global) const;
+  ItemId ToGlobal(size_t shard, ItemId local) const;
+
+  /// Shared tail of BuildFrom / OpenFrom: label and fan-out pool.
+  void StartServing();
+
+  /// FanOutOnPool over this service's pool: fn(0) on the calling thread,
+  /// the rest on the workers, per-call completion tracking.
+  void RunFanOut(size_t count, const std::function<void(size_t)>& fn) const;
+
+  /// True when any shard's current snapshot covers geo items (the
+  /// precondition for honouring a geo-grid hint somewhere).
+  bool AnyShardHasGeoItems() const;
+
+  /// Executes `query` on shard `s` (honouring the algorithm hint, with an
+  /// exact hybrid fallback where the hint cannot apply locally —
+  /// `geo_fallback_allowed` is AnyShardHasGeoItems() computed once per
+  /// request) and translates result ids to the global space. `cancel`
+  /// (null = never) is the row's deadline/abandonment token, probed
+  /// cooperatively inside the shard's algorithm — an abandoned row's
+  /// stragglers exit early instead of occupying pool slots.
+  Result<QueryResult> QueryShard(size_t s, const SocialQuery& query,
+                                 std::optional<AlgorithmId> hint,
+                                 bool geo_fallback_allowed,
+                                 const CancellationToken* cancel) const;
+
+  /// The fan-out behind Search and SearchBatch, run AFTER the QoS edge
+  /// decided the requests run (degrade overrides already applied): rounds
+  /// of dispatch, wait and merge until every request is final.
+  std::vector<Result<SearchResponse>> ExecuteRequests(
+      std::span<const SearchRequest> requests);
+
+  /// Starts one round over (pending row x shard). A round of one job runs
+  /// on the calling thread; without any deadline the jobs run as one
+  /// barrier fan-out; otherwise every job goes to the pool.
+  std::shared_ptr<Round> DispatchRound(
+      std::span<const SearchRequest> requests,
+      std::span<const Pending> pending, Clock::time_point start,
+      bool geo_fallback_allowed);
+
+  /// Waits for each row's shards until the deadline of the row's token;
+  /// a row that overruns is abandoned and its stragglers are cancelled.
+  void AwaitRound(Round& round) const;
+
+  /// Merges row `r` of an awaited round exactly over the shards that
+  /// reported. Returns the final response, or nullopt after deepening
+  /// `*pending` for another owner-diversified round.
+  std::optional<Result<SearchResponse>> MergeRow(
+      Round& round, size_t r, const SearchRequest& request,
+      Pending* pending, const Stopwatch& watch) const;
+
   /// The QoS edge shared by Search and SearchBatch: admission verdict,
   /// degrade overrides, honest shed response, per-response accounting.
   /// `admission` may be null (pass-through).
@@ -374,6 +519,18 @@ class SearchService : public IngestSink, public CompactionTarget {
   std::shared_ptr<IngestPipeline> pipeline() const;
   std::shared_ptr<CompactionScheduler> scheduler() const;
 
+  Options options_;
+  std::string backend_label_;  // "sharded/<N>" unless the subclass names it
+  /// The one graph + proximity surface every shard engine consumes.
+  std::shared_ptr<ProximityProvider> provider_;
+  std::vector<std::unique_ptr<SocialSearchEngine>> shards_;
+  std::unique_ptr<ThreadPool> pool_;
+  /// Serializes mutators (item ingest, friendship edits).
+  std::mutex writer_mutex_;
+  std::atomic<size_t> num_items_{0};
+  /// Snapshot attachment + WAL; guarded by writer_mutex_.
+  ServicePersistState persist_;
+
   mutable std::mutex background_mutex_;
   std::shared_ptr<IngestPipeline> pipeline_;
   std::shared_ptr<CompactionScheduler> scheduler_;
@@ -399,22 +556,20 @@ class SearchService : public IngestSink, public CompactionTarget {
   /// the drain/join, which runs outside background_mutex_): a concurrent
   /// second Stop caller must not return before the first caller's drain
   /// finished — callers use Stop's return as "no background thread is
-  /// touching this object any more" (destructors rely on it).
+  /// touching this object any more" (the destructor relies on it).
   std::mutex shutdown_mutex_;
 };
 
 /// Folds `from` into `into` (counter-wise sum) — the per-shard stats
-/// merge every partitioned response goes through.
+/// merge every response goes through.
 void MergeSearchStats(const SearchStats& from, SearchStats* into);
-
-class ThreadPool;
 
 /// Runs fn(0..count) with fn(0) on the calling thread and the rest on
 /// `pool`, waiting for per-call completion — NOT pool-wide idleness
 /// (ThreadPool::ParallelFor's WaitIdle would make concurrent callers
 /// sharing one pool serialize on, and potentially starve behind, each
 /// other's work). Must not be called from inside one of its own pool
-/// tasks. Shared by the backends' batch and fan-out paths.
+/// tasks.
 void FanOutOnPool(ThreadPool* pool, size_t count,
                   const std::function<void(size_t)>& fn);
 

@@ -16,6 +16,18 @@ std::string ShardDirPath(const std::string& dir, size_t shard) {
   return persist::JoinPath(dir, "shard-" + std::to_string(shard));
 }
 
+namespace {
+
+/// True when the shards of service root `root` hold their items where
+/// SearchService looks for them (see persist::ShardPlacement). One-shard
+/// roots always do: every placement puts item g at local id g.
+bool PlacementReadable(const persist::Manifest& root) {
+  return root.num_shards <= 1 ||
+         root.placement == persist::ShardPlacement::kModulo;
+}
+
+}  // namespace
+
 Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
     const std::string& dir, std::span<SocialSearchEngine* const> shards,
     ProximityProvider& provider, uint64_t num_items,
@@ -37,8 +49,11 @@ Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
     }
     prev = std::move(loaded);
   }
-  const bool prev_compatible =
-      prev.has_value() && prev->num_shards == shards.size();
+  // A root under the retired hash placement keeps its shard segments out
+  // of reach: their items sit on other shards than they would now.
+  const bool prev_compatible = prev.has_value() &&
+                               prev->num_shards == shards.size() &&
+                               PlacementReadable(*prev);
   if (!prev_compatible &&
       options.mode == persist::SnapshotSaveOptions::Mode::kIncremental) {
     return Status::FailedPrecondition(
@@ -175,6 +190,13 @@ Result<LoadedServiceSnapshot> OpenServiceSnapshot(
     return Status::InvalidArgument(
         dir + " holds a bare engine snapshot; open it through "
               "SocialSearchEngine::OpenSnapshot");
+  }
+  if (!PlacementReadable(out.root)) {
+    return Status::FailedPrecondition(
+        dir + " holds a " + std::to_string(out.root.num_shards) +
+        "-shard snapshot written under the retired hash placement "
+        "(manifest format 1); this version places item g on shard g % N "
+        "and cannot read it. Rebuild the service from its source data.");
   }
 
   // The shared graph from the root segment.

@@ -15,13 +15,14 @@
 
 namespace amici {
 
-/// Service-level snapshot orchestration for ShardedSearchService. ONE
+/// Service-level snapshot orchestration for SearchService. ONE
 /// layout for every shard count — a one-shard (LocalSearchService)
 /// snapshot is a root manifest plus shard-0/, like any other. Directory
 /// layout on top of the engine-level layout (src/persist/snapshot.h):
 ///
 ///   <dir>/CURRENT             -> MANIFEST-<gen> (THE commit point)
-///   <dir>/MANIFEST-<gen>      root manifest: num_shards, wal file, graph
+///   <dir>/MANIFEST-<gen>      root manifest: num_shards, placement, wal
+///                             file, graph
 ///   <dir>/graph-<gen>.seg     the ONE shared graph (never per shard)
 ///   <dir>/wal-<gen>.log       ingest WAL: mutations since the segments
 ///   <dir>/shard-<i>/MANIFEST-<gen> + segments   per-shard engine state
@@ -51,8 +52,10 @@ std::string ShardDirPath(const std::string& dir, size_t shard);
 
 /// Writes and COMMITS a full service snapshot of `shards` into `dir`,
 /// then attaches a fresh WAL to `state`. Incremental per shard when the
-/// directory's live snapshot is compatible (same shard count; each shard
-/// save falls back to full when its own base is incompatible). Caller
+/// directory's live snapshot is compatible (same shard count, readable
+/// placement; each shard save falls back to full when its own base is
+/// incompatible). Over an incompatible snapshot the save is full, and
+/// options.mode == kIncremental is FailedPrecondition. Caller
 /// holds the service writer mutex, so the engines' published snapshots
 /// are the complete service state.
 Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
@@ -61,9 +64,8 @@ Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
     persist::SnapshotSaveOptions options, ServicePersistState* state);
 
 /// What OpenServiceSnapshot reconstructs. The WAL is NOT yet replayed or
-/// attached: the concrete service first rebuilds its routing state from
-/// the manifests, then replays through its own mutators (see
-/// ReplayAndAttachWal).
+/// attached: the service first checks the shards against the manifest,
+/// then replays through its own mutators (see ReplayAndAttachWal).
 struct LoadedServiceSnapshot {
   persist::Manifest root;
   /// Built from the root graph segment via
@@ -75,8 +77,9 @@ struct LoadedServiceSnapshot {
 
 /// Opens the root manifest (CURRENT or open_options.manifest_name),
 /// restores the shared graph + provider, and opens every shard engine
-/// against its pinned manifest generation. Fills `state` (dir, root;
-/// WAL not attached).
+/// against its pinned manifest generation. A multi-shard root under the
+/// retired hash placement is FailedPrecondition. Fills `state` (dir,
+/// root; WAL not attached).
 Result<LoadedServiceSnapshot> OpenServiceSnapshot(
     const std::string& dir, const SocialSearchEngine::Options& engine_options,
     const persist::SnapshotOpenOptions& open_options,

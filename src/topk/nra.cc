@@ -88,7 +88,7 @@ Result<std::vector<ScoredItem>> RunNra(std::span<SortedSource* const> sources,
     }
 
     result->clear();
-    result->reserve(k);
+    result->reserve(top.size());
     for (const auto& [score, item] : top) {
       result->push_back({item, static_cast<float>(score)});
     }

@@ -7,9 +7,16 @@
 
 namespace amici {
 
+namespace {
+/// Up-front reservation cap. k is caller-controlled (SearchRequest) and may
+/// far exceed the candidates a query can offer; past this the heap grows
+/// only with what is actually pushed.
+constexpr size_t kMaxInitialReserve = 1024;
+}  // namespace
+
 TopKHeap::TopKHeap(size_t k) : k_(k) {
   AMICI_CHECK(k >= 1);
-  heap_.reserve(k);
+  heap_.reserve(std::min(k, kMaxInitialReserve));
 }
 
 bool TopKHeap::Worse(const Entry& a, const Entry& b) {

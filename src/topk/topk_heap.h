@@ -15,7 +15,8 @@ namespace amici {
 /// across algorithms and runs.
 class TopKHeap {
  public:
-  /// Requires k >= 1.
+  /// Requires k >= 1. Any k is safe: memory follows the candidates
+  /// pushed, not k.
   explicit TopKHeap(size_t k);
 
   /// Offers a candidate; returns true iff it entered the heap.

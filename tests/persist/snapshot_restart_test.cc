@@ -18,8 +18,12 @@
 
 #include "core/engine.h"
 #include "gtest/gtest.h"
+#include "persist/fs_util.h"
+#include "persist/manifest.h"
 #include "service/local_search_service.h"
 #include "service/sharded_search_service.h"
+#include "util/file_util.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
 #include "workload/query_workload.h"
@@ -425,6 +429,121 @@ TEST(SnapshotRestartTest, ReopenedServiceKeepsLoggingAndReopens) {
   const auto friends = second->FriendsOf(2);
   EXPECT_TRUE(std::find(friends.begin(), friends.end(), UserId{9}) !=
               friends.end());
+}
+
+TEST(SnapshotRestartTest, ThreeShardRoundTripKeepsAppending) {
+  // save -> reopen -> append through the reopened service -> reopen
+  // again. `reference` is never saved: it receives the same appends
+  // directly, so the last twin is checked against a service that never
+  // went through a snapshot.
+  const DatasetConfig config = TestConfig(37);
+  auto live = BuildService(config, 3);
+  auto reference = BuildService(config, 3);
+  const std::vector<SearchRequest> requests = BuildRequests(config);
+  const std::string dir = TempDir("round_trip_3");
+  ASSERT_TRUE(live->SaveSnapshot(dir).ok());
+
+  auto first = OpenService(dir, 3);
+  ASSERT_NE(first, nullptr);
+  ExpectServiceTwin(live.get(), first.get(), requests, "reopened");
+
+  Rng rng(config.seed * 7 + 3);
+  for (const size_t batch_size : {size_t{1}, size_t{5}, size_t{7}}) {
+    std::vector<Item> batch;
+    for (size_t i = 0; i < batch_size; ++i) {
+      Item item;
+      item.owner = static_cast<UserId>(rng.UniformIndex(config.num_users));
+      item.tags = {static_cast<TagId>(rng.UniformIndex(config.num_tags))};
+      item.quality = static_cast<float>(rng.UniformDouble());
+      batch.push_back(item);
+    }
+    const auto reference_ids = reference->AddItems(batch);
+    const auto appended_ids = first->AddItems(batch);
+    ASSERT_TRUE(reference_ids.ok()) << reference_ids.status().ToString();
+    ASSERT_TRUE(appended_ids.ok()) << appended_ids.status().ToString();
+    EXPECT_EQ(reference_ids.value(), appended_ids.value());
+  }
+  ExpectServiceTwin(reference.get(), first.get(), requests, "appended");
+
+  auto second = OpenService(dir, 3);
+  ASSERT_NE(second, nullptr);
+  ExpectServiceTwin(reference.get(), second.get(), requests, "re-reopened");
+}
+
+/// Rewrites the committed root manifest of `dir` in manifest format 1,
+/// which had no placement byte and so implies the retired hash placement.
+void DowngradeRootManifestToFormat1(const std::string& dir) {
+  const std::string path =
+      persist::JoinPath(dir, persist::ReadCurrent(dir).value());
+  const std::string v2 = ReadFileToString(path).value();
+  // Format 2 inserts the placement byte right after num_shards: magic,
+  // version, six u64 counters, two u8 flags, the grid cell size, then
+  // the u32 shard count.
+  constexpr size_t kVersionOffset = 4;
+  constexpr size_t kPlacementOffset = 4 + 2 + 6 * 8 + 2 + 8 + 4;
+  ASSERT_EQ(v2[kVersionOffset], 2);
+  std::string v1 = v2.substr(0, kPlacementOffset);
+  v1[kVersionOffset] = 1;
+  v1.append(v2, kPlacementOffset + 1,
+            v2.size() - sizeof(uint64_t) - kPlacementOffset - 1);
+  const uint64_t checksum = Fnv1a64(v1);
+  v1.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  ASSERT_TRUE(persist::WriteFileDurable(path, v1).ok());
+  const auto parsed = persist::ReadManifestFile(path);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().placement, persist::ShardPlacement::kHash);
+}
+
+TEST(SnapshotRestartTest, HashPlacedMultiShardRootIsRejectedAndFullySaved) {
+  const DatasetConfig config = TestConfig(41);
+  auto live = BuildService(config, 3);
+  const std::string dir = TempDir("hash_placed");
+  const auto first = live->SaveSnapshot(dir);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  DowngradeRootManifestToFormat1(dir);
+
+  const auto opened = ShardedSearchService::OpenSnapshot(
+      dir, ShardedSearchService::Options());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
+
+  // An incremental save would reuse the hash-placed shard segments.
+  std::vector<SocialSearchEngine*> engines;
+  for (size_t s = 0; s < live->num_shards(); ++s) {
+    engines.push_back(live->shard_engine(s));
+  }
+  persist::SnapshotSaveOptions incremental;
+  incremental.mode = persist::SnapshotSaveOptions::Mode::kIncremental;
+  ServicePersistState scratch_state;
+  EXPECT_EQ(SaveServiceSnapshot(dir, engines, *live->proximity_provider(),
+                                live->num_items(), incremental,
+                                &scratch_state)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+
+  // The service's own save over it is a full save that reopens.
+  const auto resaved = live->SaveSnapshot(dir);
+  ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+  EXPECT_FALSE(resaved.value().incremental);
+  EXPECT_GT(resaved.value().generation, first.value().generation);
+  auto twin = OpenService(dir, 3);
+  ASSERT_NE(twin, nullptr);
+  ExpectServiceTwin(live.get(), twin.get(), BuildRequests(config),
+                    "resaved");
+}
+
+TEST(SnapshotRestartTest, FormatOneSingleShardRootStillOpens) {
+  // With one shard every placement puts item g at local id g.
+  const DatasetConfig config = TestConfig(43);
+  auto live = BuildService(config, 1);
+  const std::string dir = TempDir("format1_local");
+  ASSERT_TRUE(live->SaveSnapshot(dir).ok());
+  DowngradeRootManifestToFormat1(dir);
+  auto twin = OpenService(dir, 1);
+  ASSERT_NE(twin, nullptr);
+  ExpectServiceTwin(live.get(), twin.get(), BuildRequests(config),
+                    "format-1 local");
 }
 
 }  // namespace

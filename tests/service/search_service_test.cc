@@ -1,10 +1,12 @@
 // Contract tests for the SearchService surface, run against BOTH
-// backends: labels, global id assignment, request options (algorithm
-// hint, max_per_owner, deadline stub), error propagation, and the
-// all-or-nothing AddItems batch.
+// deployments (local and 3 shards): labels, global id assignment,
+// request options (algorithm hint, max_per_owner, huge k, deadline stub),
+// error propagation, and the all-or-nothing AddItems batch.
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/graph_builder.h"
@@ -100,6 +102,28 @@ TEST_P(SearchServiceContractTest, MaxPerOwnerCapsOwners) {
   std::sort(owners.begin(), owners.end());
   EXPECT_EQ(std::adjacent_find(owners.begin(), owners.end()), owners.end())
       << "an owner appears twice despite max_per_owner = 1";
+}
+
+TEST_P(SearchServiceContractTest, HugeKReturnsAtMostTheCatalogue) {
+  // k is untrusted: a k far beyond the corpus must neither allocate k
+  // slots up front nor wrap the owner-diversified deepening.
+  const auto service = BuildBackend(GetParam());
+  for (const size_t k :
+       {size_t{1} << 40, std::numeric_limits<size_t>::max()}) {
+    for (const size_t max_per_owner : {size_t{0}, size_t{1}}) {
+      SCOPED_TRACE("k " + std::to_string(k) + " max_per_owner " +
+                   std::to_string(max_per_owner));
+      SearchRequest request;
+      request.query.user = 7;
+      request.query.tags = {0, 1};
+      request.query.k = k;
+      request.max_per_owner = max_per_owner;
+      const auto response = service->Search(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_FALSE(response.value().items.empty());
+      EXPECT_LE(response.value().items.size(), service->num_items());
+    }
+  }
 }
 
 TEST_P(SearchServiceContractTest, DeadlineStubFlagsOverruns) {
@@ -221,6 +245,47 @@ TEST_P(SearchServiceContractTest, FriendshipEditsFollowEngineSemantics) {
   EXPECT_NE(std::find(friends.begin(), friends.end(), v), friends.end());
   EXPECT_TRUE(service->RemoveFriendship(u, v).ok());
   EXPECT_EQ(service->RemoveFriendship(u, v).code(), StatusCode::kNotFound);
+}
+
+TEST(SearchServicePlacementTest, SevenShardsStayBalancedWithinOneItem) {
+  Dataset dataset = GenerateDataset(ContractConfig()).value();
+  ShardedSearchService::Options options;
+  options.num_shards = 7;
+  auto service = ShardedSearchService::Build(std::move(dataset.graph),
+                                             std::move(dataset.store),
+                                             std::move(options))
+                     .value();
+  const auto expect_balanced = [&](const std::string& phase) {
+    size_t smallest = service->num_items();
+    size_t largest = 0;
+    size_t total = 0;
+    for (size_t s = 0; s < service->num_shards(); ++s) {
+      const size_t count = service->shard_engine(s)->store().num_items();
+      smallest = std::min(smallest, count);
+      largest = std::max(largest, count);
+      total += count;
+    }
+    EXPECT_EQ(total, service->num_items()) << phase;
+    EXPECT_LE(largest - smallest, 1u) << phase;
+  };
+  expect_balanced("build");
+  for (const size_t batch_size : {size_t{1}, size_t{3}, size_t{5},
+                                  size_t{9}, size_t{13}}) {
+    std::vector<Item> batch(batch_size);
+    for (size_t i = 0; i < batch_size; ++i) {
+      batch[i].owner = static_cast<UserId>(i % 200);
+      batch[i].tags = {static_cast<TagId>(i % 80)};
+      batch[i].quality = 0.5f;
+    }
+    const size_t first = service->num_items();
+    const auto ids = service->AddItems(batch);
+    ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+    for (size_t i = 0; i < batch_size; ++i) {
+      EXPECT_EQ(ids.value()[i], static_cast<ItemId>(first + i));
+      EXPECT_EQ(service->OwnerOf(ids.value()[i]), batch[i].owner);
+    }
+    expect_balanced("batch of " + std::to_string(batch_size));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SearchServiceContractTest,

@@ -60,6 +60,10 @@ void PrintManifestHeader(const std::string& dir, const Manifest& m) {
               persist::ManifestFileName(m.generation).c_str(), m.generation);
   if (m.num_shards > 0) {
     std::printf("  layout        service root, %u shard(s)\n", m.num_shards);
+    std::printf("  placement     %s\n",
+                m.placement == persist::ShardPlacement::kModulo
+                    ? "item g on shard g % N"
+                    : "hash (retired; unreadable with more than one shard)");
     std::printf("  users         %" PRIu64 "\n", m.num_users);
     std::printf("  items         %" PRIu64 "\n", m.num_items);
     std::printf("  wal           %s\n",
