@@ -205,13 +205,13 @@ int main(int argc, char** argv) {
 
   // --- (2) open-loop sweep with admission control ON. ------------------
   // Pressure-based policy: past ~2x the closed-loop client count the
-  // service degrades to the cheaper scan; past 4x it sheds. The deadline
-  // gives stragglers a hard latency ceiling inside the shards.
+  // service degrades (the planned strategy under a tighter deadline); past
+  // 4x it sheds. The deadline gives stragglers a hard latency ceiling
+  // inside the shards.
   const double timeout_ms = smoke ? 250.0 : 100.0;
   AdmissionController::Options policy;
   policy.max_inflight = 32;
   policy.degrade_inflight = 8;
-  policy.degrade_algorithm = AlgorithmId::kMergeScan;
   policy.degrade_timeout_ms = timeout_ms / 2.0;
   service->EnableAdmissionControl(policy);
 

@@ -41,6 +41,12 @@ std::string_view AlgorithmName(AlgorithmId id) {
   return "unknown";
 }
 
+AlgorithmId PlanAlgorithm(const SocialQuery& query) {
+  return query.mode == MatchMode::kAll && !query.tags.empty()
+             ? AlgorithmId::kExhaustive
+             : AlgorithmId::kHybrid;
+}
+
 SocialSearchEngine::SocialSearchEngine(ItemStore store, Options options)
     : store_(std::move(store)), options_(std::move(options)) {}
 
@@ -224,7 +230,7 @@ const SearchAlgorithm* SocialSearchEngine::AlgorithmFor(
 }
 
 Result<QueryResult> SocialSearchEngine::Query(const SocialQuery& query) {
-  return Query(query, AlgorithmId::kHybrid);
+  return Query(query, PlanAlgorithm(query));
 }
 
 Result<QueryResult> SocialSearchEngine::Query(const SocialQuery& query,

@@ -50,6 +50,14 @@ inline constexpr size_t kNumAlgorithms =
 /// Stable display name of `id` ("hybrid", "merge-scan", ...).
 std::string_view AlgorithmName(AlgorithmId id);
 
+/// The strategy a query runs when the caller names none. Every strategy
+/// returns the same exact top-k, so the choice changes only the cost:
+/// a conjunctive (kAll) query with tags goes to kExhaustive, whose kAll
+/// branch walks just the rarest tag's posting list with block-max
+/// skipping (hybrid TA would drain every list whenever fewer than k
+/// items match); every other query goes to kHybrid.
+AlgorithmId PlanAlgorithm(const SocialQuery& query);
+
 /// How Compact() folds the tail into the indexes.
 ///
 ///  * kAuto — incremental (LSM-style) merge when the tail is small
@@ -185,7 +193,7 @@ class SocialSearchEngine {
   static std::shared_ptr<ProximityProvider> MakeProximityProvider(
       SocialGraph graph, const Options& options);
 
-  /// Executes `query` with the default (hybrid) strategy.
+  /// Executes `query` with the planned strategy (PlanAlgorithm).
   Result<QueryResult> Query(const SocialQuery& query);
 
   /// Executes `query` with a specific strategy. kGeoGrid requires a geo

@@ -21,16 +21,11 @@ Result<std::vector<ScoredItem>> ExhaustiveScan::Search(
     // (Eligible() is still checked per item), far fewer candidates, and
     // the block-max skip table discards blocks that cannot beat the
     // current floor. items_considered counts list entries examined.
-    TagId rarest = query.tags[0];
-    for (const TagId tag : query.tags) {
-      if (ctx.inverted->DocumentFrequency(tag) <
-          ctx.inverted->DocumentFrequency(rarest)) {
-        rarest = tag;
-      }
-    }
     const double alpha = query.alpha;
     const double content_weight = 1.0 - alpha;
-    auto it = ctx.inverted->Postings(rarest).NewIterator();
+    auto it =
+        ctx.inverted->Postings(ctx.inverted->RarestTag(query.tags))
+            .NewIterator();
     while (it.Valid()) {
       if (ticker.Check()) {
         local.truncated = true;

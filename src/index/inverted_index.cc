@@ -4,6 +4,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "util/logging.h"
+
 namespace amici {
 
 Result<InvertedIndex> InvertedIndex::Build(ItemStoreView store) {
@@ -132,6 +134,20 @@ Result<InvertedIndex> InvertedIndex::MergeFrom(ItemStoreView store,
 size_t InvertedIndex::DocumentFrequency(TagId tag) const {
   if (tag >= doc_ordered_.size() || doc_ordered_[tag] == nullptr) return 0;
   return doc_ordered_[tag]->size();
+}
+
+TagId InvertedIndex::RarestTag(std::span<const TagId> tags) const {
+  AMICI_CHECK(!tags.empty());
+  TagId rarest = tags[0];
+  size_t rarest_df = DocumentFrequency(rarest);
+  for (const TagId tag : tags.subspan(1)) {
+    const size_t df = DocumentFrequency(tag);
+    if (df < rarest_df) {
+      rarest = tag;
+      rarest_df = df;
+    }
+  }
+  return rarest;
 }
 
 const PostingList& InvertedIndex::Postings(TagId tag) const {

@@ -79,6 +79,11 @@ class InvertedIndex {
   /// Number of items carrying `tag` (0 for out-of-range tags).
   size_t DocumentFrequency(TagId tag) const;
 
+  /// The tag of `tags` (non-empty) with the fewest postings, the first
+  /// such on ties. Its list enumerates every item carrying all of `tags`,
+  /// so it drives conjunctive (kAll) scans and their cost estimates.
+  TagId RarestTag(std::span<const TagId> tags) const;
+
   /// Document-ordered compressed postings of `tag`; empty list for
   /// out-of-range tags.
   const PostingList& Postings(TagId tag) const;

@@ -2,22 +2,21 @@
 #define AMICI_SERVICE_ADMISSION_CONTROLLER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
 
-#include "core/engine.h"
-
 namespace amici {
 
 /// Admission control at the SearchService edge: decides, BEFORE any work
 /// is dispatched, whether a request runs as asked (admit), runs cheaper
-/// (degrade: substitute algorithm / capped k / tightened deadline — the
-/// service applies the overrides), or does not run at all (shed). The
-/// decision is a pure function of the controller state (in-flight count,
-/// token bucket) and the request's cost estimate, so it is deterministic
-/// under an injected clock — see tests/service/admission_control_test.cc.
+/// (degrade: capped k / tightened deadline — the service applies the
+/// overrides), or does not run at all (shed). The decision is a pure
+/// function of the controller state (in-flight count, token bucket) and
+/// the request's cost estimate, so it is deterministic under an injected
+/// clock — see tests/service/admission_control_test.cc.
 ///
 /// The gates, evaluated in order (first hit wins):
 ///   1. in-flight >= max_inflight                        -> shed  "inflight"
@@ -56,10 +55,11 @@ class AdmissionController {
     double max_admitted_per_sec = 0.0;
     /// Bucket capacity in requests (>= 1).
     double burst = 16.0;
-    /// Overrides the service applies to degraded requests: the cheaper
-    /// algorithm, a cap on k (0 = keep), and a timeout the request is
-    /// clamped to when it asked for none or a longer one (0 = keep).
-    AlgorithmId degrade_algorithm = AlgorithmId::kMergeScan;
+    /// Overrides the service applies to degraded requests: a cap on k
+    /// (0 = keep), and a timeout the request is clamped to when it asked
+    /// for none or a longer one (0 = keep). The strategy is left alone:
+    /// every strategy is exact, so swapping the planned one cannot make
+    /// a request cheaper.
     size_t degrade_k_cap = 0;
     double degrade_timeout_ms = 0.0;
     /// Test seam; null uses the process steady clock.

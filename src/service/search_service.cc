@@ -292,8 +292,8 @@ SearchResponse SearchService::MakeShedResponse(
   SearchResponse response;
   response.shed = true;
   response.backend = backend_name();
-  response.algorithm =
-      AlgorithmName(request.algorithm.value_or(AlgorithmId::kHybrid));
+  response.algorithm = AlgorithmName(
+      request.algorithm.value_or(PlanAlgorithm(request.query)));
   response.shards_touched = 0;
   return response;
 }
@@ -301,7 +301,6 @@ SearchResponse SearchService::MakeShedResponse(
 SearchRequest SearchService::ApplyDegrade(
     const SearchRequest& request, const AdmissionController::Options& opts) {
   SearchRequest degraded = request;
-  degraded.algorithm = opts.degrade_algorithm;
   if (opts.degrade_k_cap > 0 && degraded.query.k > opts.degrade_k_cap) {
     degraded.query.k = opts.degrade_k_cap;
   }
@@ -483,7 +482,7 @@ bool SearchService::AnyShardHasGeoItems() const {
 Result<QueryResult> SearchService::QueryShard(
     size_t s, const SocialQuery& query, std::optional<AlgorithmId> hint,
     bool geo_fallback_allowed, const CancellationToken* cancel) const {
-  const AlgorithmId algorithm = hint.value_or(AlgorithmId::kHybrid);
+  const AlgorithmId algorithm = hint.value_or(PlanAlgorithm(query));
   Result<QueryResult> result = shards_[s]->Query(query, algorithm, cancel);
   if (!result.ok() && algorithm == AlgorithmId::kGeoGrid &&
       result.status().code() == StatusCode::kFailedPrecondition &&
@@ -686,7 +685,8 @@ std::optional<Result<SearchResponse>> SearchService::MergeRow(
   if (failed > 0) response.shard_error = error.ToString();
   // Label with what actually executed when the (completed) shards agree
   // (e.g. every shard fell back to hybrid); a mixed fan-out keeps the
-  // hint's name — see the SearchResponse::algorithm contract.
+  // hint's (or the plan's) name — see the SearchResponse::algorithm
+  // contract.
   const QueryResult* first = nullptr;
   bool uniform = true;
   for (size_t s = 0; s < num_shards && uniform; ++s) {
@@ -700,7 +700,8 @@ std::optional<Result<SearchResponse>> SearchService::MergeRow(
   response.algorithm =
       (first != nullptr && uniform)
           ? first->algorithm
-          : AlgorithmName(request.algorithm.value_or(AlgorithmId::kHybrid));
+          : AlgorithmName(
+                request.algorithm.value_or(PlanAlgorithm(request.query)));
   std::vector<ScoredItem> merged;
   bool all_exhausted = true;
   for (size_t s = 0; s < num_shards; ++s) {
@@ -952,20 +953,17 @@ size_t SearchService::unindexed_items() const {
 uint64_t SearchService::EstimateQueryCost(const SocialQuery& query) const {
   // Every shard runs the query against its own lists and tail, so the
   // fan-out's work is the SUM of the per-shard estimates (each shard's
-  // conjunctive walk is driven by its own rarest list).
+  // conjunctive scan walks its own rarest list).
   uint64_t total = 0;
   for (const auto& shard : shards_) {
     const auto snap = shard->snapshot();
     const InvertedIndex& inverted = snap->indexes->inverted;
     uint64_t postings = 0;
-    bool first = true;
-    for (const TagId tag : query.tags) {
-      const uint64_t df = inverted.DocumentFrequency(tag);
-      if (query.mode == MatchMode::kAll) {
-        postings = first ? df : std::min(postings, df);
-        first = false;
-      } else {
-        postings += df;
+    if (query.mode == MatchMode::kAll && !query.tags.empty()) {
+      postings = inverted.DocumentFrequency(inverted.RarestTag(query.tags));
+    } else {
+      for (const TagId tag : query.tags) {
+        postings += inverted.DocumentFrequency(tag);
       }
     }
     total += postings + snap->unindexed_items();

@@ -37,7 +37,8 @@ namespace amici {
 /// `engine.Query(query)` behaviour at any shard count.
 struct SearchRequest {
   SocialQuery query;
-  /// Execution-strategy hint; nullopt lets the service choose (hybrid).
+  /// Execution-strategy hint; nullopt lets the service choose per query
+  /// (PlanAlgorithm: the rarest-list scan for kAll, hybrid otherwise).
   /// A shard may substitute an equivalent strategy where the hint cannot
   /// apply (e.g. geo-grid on a shard holding no geo items) — results are
   /// exact either way, only the work profile changes.
@@ -70,7 +71,8 @@ struct SearchResponse {
   /// End-to-end latency observed by the service, including fan-out and
   /// merge.
   double elapsed_ms = 0.0;
-  /// Which strategy executed (the hint, or the default). When some
+  /// Which strategy executed (the hint, or the planned strategy when the
+  /// request named none — see PlanAlgorithm). When some
   /// shards substituted an equivalent strategy and others did not (see
   /// SearchRequest::algorithm), the hint's name is kept; if every shard
   /// substituted, the substitute's name is reported.
@@ -99,8 +101,9 @@ struct SearchResponse {
   /// (results still complete).
   bool deadline_exceeded = false;
   /// True when admission control ran this request cheaper than asked
-  /// (substituted algorithm / capped k / clamped deadline — see
-  /// AdmissionController::Options). Results are exact for WHAT RAN, but
+  /// (capped k / clamped deadline — see AdmissionController::Options).
+  /// The strategy is never swapped: every strategy is exact, so the plan
+  /// already runs the cheapest one. Results are exact for WHAT RAN, but
   /// not what was requested.
   bool degraded = false;
   /// True when admission control refused to run this request: a
@@ -228,10 +231,13 @@ class SearchService : public IngestSink, public CompactionTarget {
       std::span<const SearchRequest> requests);
 
   /// Estimated work for `query`, in candidate units: the sum over shards
-  /// of the posting entries the tag lists would feed the algorithm plus
-  /// the un-indexed tail items scanned per query. Reads the current
-  /// snapshots; cheap (per-tag document frequencies, no traversal). The
-  /// admission controller's cost gates compare against this number.
+  /// of the posting entries the planned strategy walks (kAll: the rarest
+  /// tag's list, which the rarest-list scan enumerates; kAny: every query
+  /// tag's list) plus the un-indexed tail items scanned per query. A
+  /// kAll request hinted to a TA strategy may drain every list and so
+  /// cost more than this. Reads the current snapshots; cheap (per-tag
+  /// document frequencies, no traversal). The admission controller's cost
+  /// gates compare against this number.
   uint64_t EstimateQueryCost(const SocialQuery& query) const;
 
   // --- Query QoS: admission control + honest shedding -------------------
@@ -452,8 +458,9 @@ class SearchService : public IngestSink, public CompactionTarget {
   /// precondition for honouring a geo-grid hint somewhere).
   bool AnyShardHasGeoItems() const;
 
-  /// Executes `query` on shard `s` (honouring the algorithm hint, with an
-  /// exact hybrid fallback where the hint cannot apply locally —
+  /// Executes `query` on shard `s` (honouring the algorithm hint, or the
+  /// planned strategy when there is none, with an exact hybrid fallback
+  /// where a geo-grid hint cannot apply locally —
   /// `geo_fallback_allowed` is AnyShardHasGeoItems() computed once per
   /// request) and translates result ids to the global space. `cancel`
   /// (null = never) is the row's deadline/abandonment token, probed

@@ -176,7 +176,6 @@ TEST(AdmissionServiceTest, DegradeRunsCheaperAndSaysSo) {
 
   auto options = BaseOptions();
   options.degrade_cost = 1;  // degrade everything
-  options.degrade_algorithm = AlgorithmId::kMergeScan;
   options.degrade_k_cap = 3;
   service->EnableAdmissionControl(options);
 
@@ -184,9 +183,11 @@ TEST(AdmissionServiceTest, DegradeRunsCheaperAndSaysSo) {
   ASSERT_TRUE(degraded.ok());
   EXPECT_TRUE(degraded.value().degraded);
   EXPECT_FALSE(degraded.value().shed);
-  EXPECT_EQ(degraded.value().algorithm, "merge-scan");
+  // Degrade caps k but keeps the planned strategy.
+  EXPECT_EQ(degraded.value().algorithm,
+            AlgorithmName(PlanAlgorithm(TestRequest(7).query)));
   ASSERT_EQ(degraded.value().items.size(), 3u);
-  // Exact for WHAT RAN: merge-scan's top-3 is the true top-3, i.e. the
+  // Exact for WHAT RAN: the degraded top-3 is the true top-3, i.e. the
   // baseline's first three entries.
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(degraded.value().items[i].item, baseline.value().items[i].item);

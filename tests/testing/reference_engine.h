@@ -28,8 +28,10 @@ inline std::unique_ptr<SocialSearchEngine> BuildReferenceEngine(
 }
 
 /// Answers `request` on `engine` the way its fields define it: the
-/// algorithm hint (hybrid when unset) and owner diversity through
-/// QueryDiverse. Deadlines are not modelled.
+/// algorithm hint and owner diversity through QueryDiverse. An unset hint
+/// runs hybrid TA rather than the service's plan (PlanAlgorithm), so an
+/// unhinted kAll request also checks the planned rarest-list scan
+/// against TA. Deadlines are not modelled.
 inline Result<SearchResponse> ReferenceSearch(SocialSearchEngine& engine,
                                               const SearchRequest& request) {
   const AlgorithmId algorithm =
