@@ -68,10 +68,6 @@ int main() {
           bench::RunQueries(base.engine.get(), any_queries,
                             AlgorithmId::kSocialFirst),
           base_mem);
-  add_row("  - NRA (no random access)", "OR",
-          bench::RunQueries(base.engine.get(), any_queries,
-                            AlgorithmId::kNra),
-          base_mem);
 
   // Proximity cache off (capacity 1 ≈ always miss across users).
   {

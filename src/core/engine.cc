@@ -1,12 +1,12 @@
 #include "core/engine.h"
 
+#include <iterator>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "core/exhaustive_scan.h"
 #include "core/merge_scan.h"
-#include "core/nra_search.h"
 #include "core/scorer.h"
 #include "core/ta_runner.h"
 #include "geo/geo_point.h"
@@ -19,26 +19,28 @@
 
 namespace amici {
 
+namespace {
+
+/// Display names, indexed by AlgorithmId.
+constexpr std::string_view kAlgorithmNames[] = {
+    "exhaustive",   "merge-scan", "content-first",
+    "social-first", "hybrid",     "geo-grid",
+};
+static_assert(std::size(kAlgorithmNames) == kNumAlgorithms,
+              "name every AlgorithmId");
+
+}  // namespace
+
 std::string_view AlgorithmName(AlgorithmId id) {
-  switch (id) {
-    case AlgorithmId::kExhaustive:
-      return "exhaustive";
-    case AlgorithmId::kMergeScan:
-      return "merge-scan";
-    case AlgorithmId::kContentFirst:
-      return "content-first";
-    case AlgorithmId::kSocialFirst:
-      return "social-first";
-    case AlgorithmId::kHybrid:
-      return "hybrid";
-    case AlgorithmId::kGeoGrid:
-      return "geo-grid";
-    case AlgorithmId::kNra:
-      return "nra";
-    case AlgorithmId::kNumAlgorithms:
-      break;
+  const auto index = static_cast<size_t>(id);
+  return index < kNumAlgorithms ? kAlgorithmNames[index] : "unknown";
+}
+
+std::optional<AlgorithmId> ParseAlgorithm(std::string_view name) {
+  for (size_t i = 0; i < kNumAlgorithms; ++i) {
+    if (kAlgorithmNames[i] == name) return static_cast<AlgorithmId>(i);
   }
-  return "unknown";
+  return std::nullopt;
 }
 
 AlgorithmId PlanAlgorithm(const SocialQuery& query) {
@@ -110,8 +112,6 @@ void SocialSearchEngine::RegisterAlgorithms() {
       std::make_unique<BlendedTa>(PullBias::kAdaptive);
   algorithms_[static_cast<size_t>(AlgorithmId::kGeoGrid)] =
       std::make_unique<GeoGridScan>();
-  algorithms_[static_cast<size_t>(AlgorithmId::kNra)] =
-      std::make_unique<NraSearch>();
   for (const auto& algorithm : algorithms_) {
     AMICI_CHECK(algorithm != nullptr)
         << "algorithm table has a null slot; register every AlgorithmId";

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -37,7 +38,6 @@ enum class AlgorithmId {
   kSocialFirst,
   kHybrid,
   kGeoGrid,
-  kNra,
   /// Sentinel: number of strategies. Keep last; the engine sizes its
   /// algorithm table from it, so a new strategy cannot silently leave a
   /// null slot.
@@ -49,6 +49,10 @@ inline constexpr size_t kNumAlgorithms =
 
 /// Stable display name of `id` ("hybrid", "merge-scan", ...).
 std::string_view AlgorithmName(AlgorithmId id);
+
+/// The strategy whose AlgorithmName is exactly `name`; nullopt for any
+/// other string. Reads the same table as AlgorithmName.
+std::optional<AlgorithmId> ParseAlgorithm(std::string_view name);
 
 /// The strategy a query runs when the caller names none. Every strategy
 /// returns the same exact top-k, so the choice changes only the cost:

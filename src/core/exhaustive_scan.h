@@ -1,7 +1,6 @@
 #ifndef AMICI_CORE_EXHAUSTIVE_SCAN_H_
 #define AMICI_CORE_EXHAUSTIVE_SCAN_H_
 
-#include <string_view>
 #include <vector>
 
 #include "core/search_algorithm.h"
@@ -14,8 +13,6 @@ namespace amici {
 class ExhaustiveScan final : public SearchAlgorithm {
  public:
   ExhaustiveScan() = default;
-
-  std::string_view name() const override { return "exhaustive"; }
 
   Result<std::vector<ScoredItem>> Search(const QueryContext& ctx,
                                          SearchStats* stats) const override;

@@ -1,7 +1,6 @@
 #ifndef AMICI_CORE_MERGE_SCAN_H_
 #define AMICI_CORE_MERGE_SCAN_H_
 
-#include <string_view>
 #include <vector>
 
 #include "core/search_algorithm.h"
@@ -22,8 +21,6 @@ namespace amici {
 class MergeScan final : public SearchAlgorithm {
  public:
   MergeScan() = default;
-
-  std::string_view name() const override { return "merge-scan"; }
 
   Result<std::vector<ScoredItem>> Search(const QueryContext& ctx,
                                          SearchStats* stats) const override;

@@ -2,7 +2,6 @@
 #define AMICI_CORE_SEARCH_ALGORITHM_H_
 
 #include <functional>
-#include <string_view>
 #include <vector>
 
 #include "core/social_query.h"
@@ -70,7 +69,9 @@ struct SearchStats {
 };
 
 /// A top-k retrieval strategy. Implementations must be stateless and
-/// thread-safe: all per-query state lives on the stack of Search().
+/// thread-safe: all per-query state lives on the stack of Search(). The
+/// engine keeps one instance per AlgorithmId and labels results with
+/// AlgorithmName(id) (core/engine.h), the one table of strategy names.
 ///
 /// Contract: returns the exact top-k (score-descending; ties on score may
 /// order arbitrarily) of the *eligible* items with id < index_horizon,
@@ -88,9 +89,6 @@ struct SearchStats {
 class SearchAlgorithm {
  public:
   virtual ~SearchAlgorithm() = default;
-
-  /// Stable identifier used in benches and engine stats.
-  virtual std::string_view name() const = 0;
 
   /// Executes the query described by `ctx`.
   virtual Result<std::vector<ScoredItem>> Search(const QueryContext& ctx,

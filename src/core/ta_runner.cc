@@ -1,6 +1,8 @@
 #include "core/ta_runner.h"
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "core/scorer.h"
 #include "core/ta_sources.h"
@@ -12,8 +14,17 @@ namespace {
 /// How strongly the biased policies favour their preferred source class.
 constexpr uint32_t kBiasWeight = 8;
 
-}  // namespace
+/// The sorted sources of one blended query: per-tag impact-ordered lists
+/// (weight (1-alpha)/|tags|) followed by the social stream (weight alpha).
+/// Zero-weight sources are omitted.
+struct BlendedSources {
+  std::vector<std::unique_ptr<SortedSource>> owned;
+  /// Parallel to `owned`: true for tag-list sources.
+  std::vector<bool> is_content;
+};
 
+/// Assembles the sorted sources for `ctx`. Requires impact-ordered lists
+/// when alpha < 1; returns FailedPrecondition otherwise.
 Result<BlendedSources> BuildBlendedSources(const QueryContext& ctx) {
   const SocialQuery& query = *ctx.query;
   if (!ctx.inverted->has_impact_ordered() && query.alpha < 1.0) {
@@ -45,6 +56,9 @@ Result<BlendedSources> BuildBlendedSources(const QueryContext& ctx) {
   return sources;
 }
 
+/// The eligibility predicate of `ctx`: combines the engine filter with
+/// kAll tag matching. May be empty (accept everything). `scorer` must
+/// outlive the returned function.
 std::function<bool(ItemId)> BuildEligibilityFilter(const QueryContext& ctx,
                                                    const Scorer* scorer) {
   if (ctx.query->mode == MatchMode::kAll && ctx.filter != nullptr) {
@@ -59,9 +73,10 @@ std::function<bool(ItemId)> BuildEligibilityFilter(const QueryContext& ctx,
   return ctx.filter;
 }
 
-Result<std::vector<ScoredItem>> RunBlendedTa(const QueryContext& ctx,
-                                             PullBias bias,
-                                             SearchStats* stats) {
+}  // namespace
+
+Result<std::vector<ScoredItem>> BlendedTa::Search(const QueryContext& ctx,
+                                                  SearchStats* stats) const {
   const SocialQuery& query = *ctx.query;
   AMICI_ASSIGN_OR_RETURN(BlendedSources blended, BuildBlendedSources(ctx));
   if (blended.owned.empty()) {
@@ -74,7 +89,7 @@ Result<std::vector<ScoredItem>> RunBlendedTa(const QueryContext& ctx,
   for (const auto& s : blended.owned) sources.push_back(s.get());
 
   PullPolicy policy;
-  switch (bias) {
+  switch (bias_) {
     case PullBias::kContent:
       policy = MakeBiasedPull(blended.is_content, kBiasWeight);
       break;
@@ -103,18 +118,6 @@ Result<std::vector<ScoredItem>> RunBlendedTa(const QueryContext& ctx,
       &local.truncated);
   if (stats != nullptr) *stats = local;
   return result;
-}
-
-std::string_view BlendedTa::name() const {
-  switch (bias_) {
-    case PullBias::kContent:
-      return "content-first";
-    case PullBias::kSocial:
-      return "social-first";
-    case PullBias::kAdaptive:
-      break;
-  }
-  return "hybrid";
 }
 
 }  // namespace amici

@@ -1,14 +1,9 @@
 #ifndef AMICI_CORE_TA_RUNNER_H_
 #define AMICI_CORE_TA_RUNNER_H_
 
-#include <functional>
-#include <memory>
-#include <string_view>
 #include <vector>
 
 #include "core/search_algorithm.h"
-#include "storage/posting_list.h"
-#include "topk/threshold_algorithm.h"
 #include "util/status.h"
 
 namespace amici {
@@ -19,35 +14,6 @@ enum class PullBias {
   kSocial,    // social-first: drain the social stream, touch tag lists rarely
   kAdaptive,  // hybrid: greedy max-bound pulls
 };
-
-/// The sorted sources of one blended query: per-tag impact-ordered lists
-/// (weight (1-alpha)/|tags|) followed by the social stream (weight alpha).
-/// Zero-weight sources are omitted.
-struct BlendedSources {
-  std::vector<std::unique_ptr<SortedSource>> owned;
-  /// Parallel to `owned`: true for tag-list sources.
-  std::vector<bool> is_content;
-};
-
-/// Assembles the sorted sources for `ctx`. Requires impact-ordered lists
-/// when alpha < 1; returns FailedPrecondition otherwise.
-Result<BlendedSources> BuildBlendedSources(const QueryContext& ctx);
-
-/// The eligibility predicate of `ctx`: combines the engine filter with
-/// kAll tag matching. May be empty (accept everything). `scorer` must
-/// outlive the returned function.
-std::function<bool(ItemId)> BuildEligibilityFilter(const QueryContext& ctx,
-                                                   const class Scorer* scorer);
-
-/// Shared implementation of the blended TA (see BlendedTa). Assembles the
-/// sources, combines eligibility filters, and runs the TA engine with a
-/// policy matching `bias`.
-///
-/// Requires the inverted index to have impact-ordered lists materialized;
-/// returns FailedPrecondition otherwise.
-Result<std::vector<ScoredItem>> RunBlendedTa(const QueryContext& ctx,
-                                             PullBias bias,
-                                             SearchStats* stats);
 
 /// The Threshold Algorithm over the blended sources, one instance per
 /// PullBias. Exact for every alpha and bias; the bias only decides where
@@ -69,12 +35,12 @@ class BlendedTa final : public SearchAlgorithm {
  public:
   explicit BlendedTa(PullBias bias) : bias_(bias) {}
 
-  std::string_view name() const override;
-
+  /// Assembles the sources, combines eligibility filters, and runs the TA
+  /// engine with a policy matching the bias. Requires the inverted index
+  /// to have impact-ordered lists materialized; returns FailedPrecondition
+  /// otherwise.
   Result<std::vector<ScoredItem>> Search(const QueryContext& ctx,
-                                         SearchStats* stats) const override {
-    return RunBlendedTa(ctx, bias_, stats);
-  }
+                                         SearchStats* stats) const override;
 
  private:
   PullBias bias_;

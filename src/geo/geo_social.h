@@ -1,7 +1,6 @@
 #ifndef AMICI_GEO_GEO_SOCIAL_H_
 #define AMICI_GEO_GEO_SOCIAL_H_
 
-#include <string_view>
 #include <vector>
 
 #include "core/search_algorithm.h"
@@ -21,8 +20,6 @@ namespace amici {
 class GeoGridScan final : public SearchAlgorithm {
  public:
   GeoGridScan() = default;
-
-  std::string_view name() const override { return "geo-grid"; }
 
   Result<std::vector<ScoredItem>> Search(const QueryContext& ctx,
                                          SearchStats* stats) const override;

@@ -17,7 +17,7 @@ namespace amici {
 /// Dual-representation inverted tag index:
 ///
 ///  * a compressed, document-ordered PostingList per tag — candidate
-///    enumeration and conjunctive merging (ExhaustiveScan, NRA);
+///    enumeration and conjunctive merging (ExhaustiveScan, MergeScan);
 ///  * an impact-ordered array per tag (items sorted by decreasing static
 ///    quality) — the sorted-access stream consumed by content-first TA.
 ///

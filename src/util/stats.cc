@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "util/logging.h"
 
@@ -66,44 +65,6 @@ LatencySummary LatencyRecorder::Summarize() const {
   summary.p90 = PercentileOfSorted(sorted, 90.0);
   summary.p99 = PercentileOfSorted(sorted, 99.0);
   return summary;
-}
-
-ExponentialHistogram::ExponentialHistogram(int num_buckets)
-    : buckets_(static_cast<size_t>(num_buckets), 0) {
-  AMICI_CHECK(num_buckets >= 2);
-}
-
-void ExponentialHistogram::Add(double value) {
-  ++total_;
-  if (value < 1.0) {
-    ++buckets_[0];
-    return;
-  }
-  // Bucket b >= 1 holds [2^(b-1), 2^b).
-  int b = 1 + static_cast<int>(std::log2(value));
-  if (b >= num_buckets()) b = num_buckets() - 1;
-  ++buckets_[static_cast<size_t>(b)];
-}
-
-uint64_t ExponentialHistogram::BucketCount(int b) const {
-  AMICI_CHECK(b >= 0 && b < num_buckets());
-  return buckets_[static_cast<size_t>(b)];
-}
-
-std::string ExponentialHistogram::ToString() const {
-  std::string out;
-  char buf[64];
-  for (int b = 0; b < num_buckets(); ++b) {
-    if (buckets_[static_cast<size_t>(b)] == 0) continue;
-    const double lo = b == 0 ? 0.0 : std::pow(2.0, b - 1);
-    const double hi = std::pow(2.0, b);
-    std::snprintf(buf, sizeof(buf), "[%.0f,%.0f):%llu ", lo, hi,
-                  static_cast<unsigned long long>(
-                      buckets_[static_cast<size_t>(b)]));
-    out += buf;
-  }
-  if (!out.empty()) out.pop_back();
-  return out;
 }
 
 }  // namespace amici

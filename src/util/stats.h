@@ -70,28 +70,6 @@ class LatencyRecorder {
 /// q in [0, 100].
 double PercentileOfSorted(const std::vector<double>& sorted, double q);
 
-/// Fixed-boundary histogram with exponentially growing buckets
-/// [0,1), [1,2), [2,4), [4,8)... in the recorder's unit. Compact textual
-/// rendering for engine statistics dumps.
-class ExponentialHistogram {
- public:
-  explicit ExponentialHistogram(int num_buckets = 32);
-
-  void Add(double value);
-  uint64_t TotalCount() const { return total_; }
-
-  /// Count in bucket `b` (see class comment for boundaries).
-  uint64_t BucketCount(int b) const;
-  int num_buckets() const { return static_cast<int>(buckets_.size()); }
-
-  /// One-line rendering: "[0,1):12 [1,2):3 ...", omitting empty buckets.
-  std::string ToString() const;
-
- private:
-  std::vector<uint64_t> buckets_;
-  uint64_t total_ = 0;
-};
-
 }  // namespace amici
 
 #endif  // AMICI_UTIL_STATS_H_

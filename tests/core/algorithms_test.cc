@@ -1,4 +1,5 @@
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/exhaustive_scan.h"
@@ -13,6 +14,12 @@
 
 namespace amici {
 namespace {
+
+/// One strategy under test and the label its failures print.
+struct Candidate {
+  std::string label;
+  const SearchAlgorithm* algorithm;
+};
 
 /// Shared randomized corpus + the machinery to run any algorithm on it.
 class AlgorithmsTest : public ::testing::Test {
@@ -79,8 +86,11 @@ TEST_F(AlgorithmsTest, AllAlgorithmsAgreeAcrossQueryMix) {
   const BlendedTa content_first(PullBias::kContent);
   const BlendedTa social_first(PullBias::kSocial);
   const BlendedTa hybrid(PullBias::kAdaptive);
-  const std::vector<const SearchAlgorithm*> candidates{
-      &merge, &content_first, &social_first, &hybrid};
+  const std::vector<Candidate> candidates{
+      {"merge-scan", &merge},
+      {"content-first", &content_first},
+      {"social-first", &social_first},
+      {"hybrid", &hybrid}};
 
   for (const double alpha : {0.0, 0.3, 0.7, 1.0}) {
     QueryWorkloadConfig config = workload;
@@ -94,13 +104,12 @@ TEST_F(AlgorithmsTest, AllAlgorithmsAgreeAcrossQueryMix) {
       SearchStats stats;
       const auto expected = oracle.Search(ctx, &stats);
       ASSERT_TRUE(expected.ok());
-      for (const SearchAlgorithm* algorithm : candidates) {
+      for (const auto& [label, algorithm] : candidates) {
         const auto actual = algorithm->Search(ctx, &stats);
         ASSERT_TRUE(actual.ok())
-            << algorithm->name() << ": " << actual.status().ToString();
+            << label << ": " << actual.status().ToString();
         ExpectExactTopK(expected.value(), actual.value(),
-                        std::string(algorithm->name()) + " alpha=" +
-                            std::to_string(alpha));
+                        label + " alpha=" + std::to_string(alpha));
       }
     }
   }
@@ -127,12 +136,11 @@ TEST_F(AlgorithmsTest, AllModeAgreesWithOracle) {
     SearchStats stats;
     const auto expected = oracle.Search(ctx, &stats);
     ASSERT_TRUE(expected.ok());
-    for (const SearchAlgorithm* algorithm :
-         std::vector<const SearchAlgorithm*>{&merge, &hybrid}) {
+    for (const auto& [label, algorithm] : std::vector<Candidate>{
+             {"merge-scan", &merge}, {"hybrid", &hybrid}}) {
       const auto actual = algorithm->Search(ctx, &stats);
-      ASSERT_TRUE(actual.ok()) << algorithm->name();
-      ExpectExactTopK(expected.value(), actual.value(),
-                      std::string(algorithm->name()) + " kAll");
+      ASSERT_TRUE(actual.ok()) << label;
+      ExpectExactTopK(expected.value(), actual.value(), label + " kAll");
     }
   }
 }
@@ -231,11 +239,12 @@ TEST_F(AlgorithmsTest, AllModeWithUnusedTagYieldsEmpty) {
   const ExhaustiveScan oracle;
   const MergeScan merge;
   const BlendedTa hybrid(PullBias::kAdaptive);
-  for (const SearchAlgorithm* algorithm :
-       std::vector<const SearchAlgorithm*>{&oracle, &merge, &hybrid}) {
+  for (const auto& [label, algorithm] : std::vector<Candidate>{
+           {"exhaustive", &oracle}, {"merge-scan", &merge},
+           {"hybrid", &hybrid}}) {
     const auto result = algorithm->Search(ctx, &stats);
-    ASSERT_TRUE(result.ok()) << algorithm->name();
-    EXPECT_TRUE(result.value().empty()) << algorithm->name();
+    ASSERT_TRUE(result.ok()) << label;
+    EXPECT_TRUE(result.value().empty()) << label;
   }
 }
 

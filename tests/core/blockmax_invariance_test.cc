@@ -31,7 +31,7 @@ namespace {
 constexpr AlgorithmId kAlgorithms[] = {
     AlgorithmId::kExhaustive,  AlgorithmId::kMergeScan,
     AlgorithmId::kContentFirst, AlgorithmId::kSocialFirst,
-    AlgorithmId::kHybrid,       AlgorithmId::kNra,
+    AlgorithmId::kHybrid,
 };
 
 /// Few tags over many items => posting lists long enough (df well past

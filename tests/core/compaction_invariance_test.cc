@@ -112,7 +112,7 @@ std::vector<SearchRequest> BuildProbes(const DatasetConfig& config) {
     request.query.alpha = 0.2 + 0.6 * rng.UniformDouble();
     request.query.k = 1 + rng.UniformIndex(15);
     request.algorithm = rng.Bernoulli(0.5) ? AlgorithmId::kMergeScan
-                                           : AlgorithmId::kNra;
+                                           : AlgorithmId::kSocialFirst;
     probes.push_back(request);
     SearchRequest diverse = probes[i];
     diverse.max_per_owner = 1 + rng.UniformIndex(3);

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <memory>
+#include <optional>
 
 #include "gtest/gtest.h"
 #include "proximity/hop_decay.h"
@@ -78,8 +79,7 @@ TEST_F(EngineTest, AllAlgorithmsAgreeThroughTheFacade) {
   ASSERT_TRUE(expected.ok());
   for (const AlgorithmId id :
        {AlgorithmId::kMergeScan, AlgorithmId::kContentFirst,
-        AlgorithmId::kSocialFirst, AlgorithmId::kHybrid,
-        AlgorithmId::kNra}) {
+        AlgorithmId::kSocialFirst, AlgorithmId::kHybrid}) {
     const auto actual = engine->Query(query, id);
     ASSERT_TRUE(actual.ok()) << AlgorithmName(id);
     ASSERT_EQ(actual.value().items.size(), expected.value().items.size());
@@ -122,7 +122,7 @@ TEST_F(EngineTest, GeoQueryFiltersByRadius) {
   const auto expected = engine->Query(query, AlgorithmId::kExhaustive);
   ASSERT_TRUE(expected.ok());
   for (const AlgorithmId id :
-       {AlgorithmId::kHybrid, AlgorithmId::kGeoGrid, AlgorithmId::kNra}) {
+       {AlgorithmId::kHybrid, AlgorithmId::kGeoGrid}) {
     const auto actual = engine->Query(query, id);
     ASSERT_TRUE(actual.ok()) << AlgorithmName(id);
     ASSERT_EQ(actual.value().items.size(), expected.value().items.size())
@@ -268,7 +268,16 @@ TEST_F(EngineTest, AlgorithmNamesAreStable) {
   EXPECT_EQ(AlgorithmName(AlgorithmId::kSocialFirst), "social-first");
   EXPECT_EQ(AlgorithmName(AlgorithmId::kHybrid), "hybrid");
   EXPECT_EQ(AlgorithmName(AlgorithmId::kGeoGrid), "geo-grid");
-  EXPECT_EQ(AlgorithmName(AlgorithmId::kNra), "nra");
+}
+
+TEST_F(EngineTest, ParseAlgorithmInvertsAlgorithmName) {
+  for (size_t i = 0; i < kNumAlgorithms; ++i) {
+    const auto id = static_cast<AlgorithmId>(i);
+    EXPECT_EQ(ParseAlgorithm(AlgorithmName(id)), id) << AlgorithmName(id);
+  }
+  EXPECT_EQ(ParseAlgorithm("nra"), std::nullopt);
+  EXPECT_EQ(ParseAlgorithm(""), std::nullopt);
+  EXPECT_EQ(ParseAlgorithm("Hybrid"), std::nullopt);
 }
 
 }  // namespace

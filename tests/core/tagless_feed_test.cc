@@ -46,7 +46,7 @@ class TaglessFeedTest : public ::testing::Test {
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
     std::vector<AlgorithmId> candidates{
         AlgorithmId::kMergeScan, AlgorithmId::kContentFirst,
-        AlgorithmId::kSocialFirst, AlgorithmId::kHybrid, AlgorithmId::kNra};
+        AlgorithmId::kSocialFirst, AlgorithmId::kHybrid};
     if (include_geo_grid) candidates.push_back(AlgorithmId::kGeoGrid);
     for (const AlgorithmId id : candidates) {
       const auto actual = engine_->Query(query, id);

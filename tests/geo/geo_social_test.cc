@@ -136,10 +136,5 @@ TEST_F(GeoSocialTest, RequiresGeoFilter) {
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST_F(GeoSocialTest, NameIsStable) {
-  const GeoGridScan geo;
-  EXPECT_EQ(geo.name(), "geo-grid");
-}
-
 }  // namespace
 }  // namespace amici

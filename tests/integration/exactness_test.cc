@@ -103,7 +103,7 @@ TEST_P(ExactnessTest, AllAlgorithmsMatchOracle) {
 
   std::vector<AlgorithmId> candidates{
       AlgorithmId::kMergeScan, AlgorithmId::kContentFirst,
-      AlgorithmId::kSocialFirst, AlgorithmId::kHybrid, AlgorithmId::kNra};
+      AlgorithmId::kSocialFirst, AlgorithmId::kHybrid};
   if (param.with_geo) candidates.push_back(AlgorithmId::kGeoGrid);
 
   for (const SocialQuery& query : queries.value()) {

@@ -84,8 +84,7 @@ TEST(StressTest, MutationsNeverBreakExactness) {
       const auto expected = service.value()->Search(request);
       ASSERT_TRUE(expected.ok());
       for (const AlgorithmId id :
-           {AlgorithmId::kMergeScan, AlgorithmId::kHybrid,
-            AlgorithmId::kNra}) {
+           {AlgorithmId::kMergeScan, AlgorithmId::kHybrid}) {
         request.algorithm = id;
         const auto actual = service.value()->Search(request);
         ASSERT_TRUE(actual.ok()) << AlgorithmName(id);

@@ -77,7 +77,7 @@ void ExpectTwinEqual(SocialSearchEngine* live, const std::string& dir,
   for (const SocialQuery& query : queries) {
     for (const AlgorithmId algorithm :
          {AlgorithmId::kExhaustive, AlgorithmId::kMergeScan,
-          AlgorithmId::kHybrid, AlgorithmId::kNra}) {
+          AlgorithmId::kHybrid}) {
       const auto want = live->Query(query, algorithm);
       const auto got = twin.value()->Query(query, algorithm);
       ASSERT_EQ(want.ok(), got.ok()) << label;

@@ -34,7 +34,7 @@ namespace {
 constexpr AlgorithmId kAllStrategies[] = {
     AlgorithmId::kExhaustive,  AlgorithmId::kMergeScan,
     AlgorithmId::kContentFirst, AlgorithmId::kSocialFirst,
-    AlgorithmId::kHybrid,       AlgorithmId::kNra,
+    AlgorithmId::kHybrid,
 };
 
 std::string TempDir(const std::string& name) {

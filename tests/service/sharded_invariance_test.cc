@@ -98,7 +98,7 @@ std::vector<SearchRequest> BuildRequests(const DatasetConfig& config) {
     request.query.alpha = 0.2 + 0.6 * rng.UniformDouble();
     request.query.k = 1 + rng.UniformIndex(20);
     request.algorithm = rng.Bernoulli(0.5) ? AlgorithmId::kMergeScan
-                                           : AlgorithmId::kNra;
+                                           : AlgorithmId::kSocialFirst;
     requests.push_back(request);
 
     SearchRequest diverse = requests[i];

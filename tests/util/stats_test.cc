@@ -97,35 +97,5 @@ TEST(LatencyRecorderTest, EmptySummaryIsZeroed) {
   EXPECT_EQ(summary.mean, 0.0);
 }
 
-TEST(ExponentialHistogramTest, BucketBoundaries) {
-  ExponentialHistogram histogram(8);
-  histogram.Add(0.0);   // [0,1)
-  histogram.Add(0.99);  // [0,1)
-  histogram.Add(1.0);   // [1,2)
-  histogram.Add(3.9);   // [2,4)
-  histogram.Add(4.0);   // [4,8)
-  EXPECT_EQ(histogram.TotalCount(), 5u);
-  EXPECT_EQ(histogram.BucketCount(0), 2u);
-  EXPECT_EQ(histogram.BucketCount(1), 1u);
-  EXPECT_EQ(histogram.BucketCount(2), 1u);
-  EXPECT_EQ(histogram.BucketCount(3), 1u);
-}
-
-TEST(ExponentialHistogramTest, OverflowGoesToLastBucket) {
-  ExponentialHistogram histogram(4);
-  histogram.Add(1e12);
-  EXPECT_EQ(histogram.BucketCount(3), 1u);
-}
-
-TEST(ExponentialHistogramTest, ToStringSkipsEmptyBuckets) {
-  ExponentialHistogram histogram(8);
-  histogram.Add(0.5);
-  histogram.Add(5.0);
-  const std::string rendered = histogram.ToString();
-  EXPECT_NE(rendered.find("[0,1):1"), std::string::npos);
-  EXPECT_NE(rendered.find("[4,8):1"), std::string::npos);
-  EXPECT_EQ(rendered.find("[1,2)"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace amici

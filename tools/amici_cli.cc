@@ -15,11 +15,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "graph/graph_algorithms.h"
+#include "persist/fs_util.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -75,15 +77,22 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
-Result<AlgorithmId> ParseAlgorithm(const std::string& name) {
-  if (name == "exhaustive") return AlgorithmId::kExhaustive;
-  if (name == "merge-scan") return AlgorithmId::kMergeScan;
-  if (name == "content-first") return AlgorithmId::kContentFirst;
-  if (name == "social-first") return AlgorithmId::kSocialFirst;
-  if (name == "hybrid") return AlgorithmId::kHybrid;
-  if (name == "geo-grid") return AlgorithmId::kGeoGrid;
-  if (name == "nra") return AlgorithmId::kNra;
-  return Status::InvalidArgument("unknown --algo: " + name);
+/// The strategy --algo names, or nullopt when the flag is absent: each
+/// query then runs the planned strategy (PlanAlgorithm).
+Result<std::optional<AlgorithmId>> AlgorithmFlag(const Flags& flags) {
+  if (!flags.Has("algo")) return std::optional<AlgorithmId>();
+  const std::string name = flags.GetString("algo", "");
+  const std::optional<AlgorithmId> algorithm = ParseAlgorithm(name);
+  if (!algorithm.has_value()) {
+    std::string choices;
+    for (size_t i = 0; i < kNumAlgorithms; ++i) {
+      if (i > 0) choices += '|';
+      choices += AlgorithmName(static_cast<AlgorithmId>(i));
+    }
+    return Status::InvalidArgument("unknown --algo: " + name + " (want " +
+                                   choices + ")");
+  }
+  return algorithm;
 }
 
 Result<std::unique_ptr<SocialSearchEngine>> OpenEngine(const Flags& flags) {
@@ -111,6 +120,7 @@ Status RunGenerate(const Flags& flags) {
 
   Stopwatch watch;
   AMICI_ASSIGN_OR_RETURN(const Dataset dataset, GenerateDataset(config));
+  AMICI_RETURN_IF_ERROR(persist::EnsureDir(flags.GetString("out", "")));
   AMICI_RETURN_IF_ERROR(SaveDataset(dataset, flags.GetString("out", "")));
   std::printf("generated %zu users / %zu items in %.0f ms -> %s\n",
               dataset.graph.num_users(), dataset.store.num_items(),
@@ -163,11 +173,11 @@ Status RunQuery(const Flags& flags) {
   }
   NormalizeQuery(&query);
 
+  AMICI_ASSIGN_OR_RETURN(const std::optional<AlgorithmId> algorithm,
+                         AlgorithmFlag(flags));
   AMICI_ASSIGN_OR_RETURN(
-      const AlgorithmId algorithm,
-      ParseAlgorithm(flags.GetString("algo", "hybrid")));
-  AMICI_ASSIGN_OR_RETURN(const QueryResult result,
-                         engine->Query(query, algorithm));
+      const QueryResult result,
+      engine->Query(query, algorithm.value_or(PlanAlgorithm(query))));
 
   std::printf("%zu results in %.3f ms (%s)\n", result.items.size(),
               result.elapsed_ms, std::string(result.algorithm).c_str());
@@ -209,20 +219,23 @@ Status RunReplay(const Flags& flags) {
   AMICI_ASSIGN_OR_RETURN(auto engine, OpenEngine(flags));
   AMICI_ASSIGN_OR_RETURN(const std::vector<SocialQuery> queries,
                          LoadQueryTrace(flags.GetString("trace", "")));
-  AMICI_ASSIGN_OR_RETURN(
-      const AlgorithmId algorithm,
-      ParseAlgorithm(flags.GetString("algo", "hybrid")));
+  AMICI_ASSIGN_OR_RETURN(const std::optional<AlgorithmId> algorithm,
+                         AlgorithmFlag(flags));
 
   LatencyRecorder recorder;
   for (const SocialQuery& query : queries) {
     Stopwatch watch;
-    AMICI_RETURN_IF_ERROR(engine->Query(query, algorithm).status());
+    AMICI_RETURN_IF_ERROR(
+        engine->Query(query, algorithm.value_or(PlanAlgorithm(query)))
+            .status());
     recorder.Record(watch.ElapsedMillis());
   }
   const LatencySummary summary = recorder.Summarize();
   std::printf("replayed %llu queries (%s)\n",
               static_cast<unsigned long long>(summary.count),
-              std::string(AlgorithmName(algorithm)).c_str());
+              algorithm.has_value()
+                  ? std::string(AlgorithmName(*algorithm)).c_str()
+                  : "planned per query");
   std::printf("latency ms: mean %.3f  p50 %.3f  p90 %.3f  p99 %.3f  "
               "max %.3f\n",
               summary.mean, summary.p50, summary.p90, summary.p99,
@@ -241,7 +254,9 @@ int Usage() {
       "  query     --data DIR --user U --tags 1,2,3 [--k K] [--alpha A]\n"
       "            [--algo ALGO] [--mode any|all]\n"
       "  trace-gen --data DIR --out FILE [--queries N] [--k K] [--alpha A]\n"
-      "  replay    --data DIR --trace FILE [--algo ALGO]\n");
+      "  replay    --data DIR --trace FILE [--algo ALGO]\n"
+      "  without --algo, query and replay run each query's planned "
+      "strategy\n");
   return 2;
 }
 

@@ -220,7 +220,7 @@ Result<std::vector<SocialQuery>> SmokeQueries(const DatasetConfig& config) {
 constexpr AlgorithmId kSmokeStrategies[] = {
     AlgorithmId::kExhaustive,   AlgorithmId::kMergeScan,
     AlgorithmId::kContentFirst, AlgorithmId::kSocialFirst,
-    AlgorithmId::kHybrid,       AlgorithmId::kNra,
+    AlgorithmId::kHybrid,
 };
 
 /// Prints every (query, strategy, mode) result with hexfloat scores —
