@@ -330,12 +330,9 @@ int main(int argc, char** argv) {
     const uint64_t compactions_before = service->auto_compactions();
     if (phase.auto_compact) {
       CompactionScheduler::Options compaction_options;
-      compaction_options.policy =
-          std::make_shared<AdaptiveCompactionPolicy>(
-              AdaptiveCompactionPolicy::Options{
-                  /*max_tail_items=*/kQueued / 4,
-                  /*max_tail_scan_ms=*/2.0,
-                  /*min_tail_items=*/256});
+      compaction_options.policy = {/*max_tail_items=*/kQueued / 4,
+                                   /*max_tail_scan_ms=*/2.0,
+                                   /*min_tail_items=*/256};
       compaction_options.poll_interval_ms = 5.0;
       AMICI_CHECK_OK(service->StartAutoCompaction(compaction_options));
     }

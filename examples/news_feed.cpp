@@ -105,10 +105,8 @@ int main() {
     return 1;
   }
   CompactionScheduler::Options compaction;
-  compaction.policy = std::make_shared<AdaptiveCompactionPolicy>(
-      AdaptiveCompactionPolicy::Options{/*max_tail_items=*/64,
-                                        /*max_tail_scan_ms=*/1.0,
-                                        /*min_tail_items=*/16});
+  compaction.policy = {/*max_tail_items=*/64, /*max_tail_scan_ms=*/1.0,
+                       /*min_tail_items=*/16};
   compaction.poll_interval_ms = 2.0;
   if (const auto status = service->StartAutoCompaction(compaction);
       !status.ok()) {

@@ -11,7 +11,6 @@
 #include "core/ta_runner.h"
 #include "geo/geo_point.h"
 #include "geo/geo_social.h"
-#include "persist/fs_util.h"
 #include "topk/topk_heap.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -119,32 +118,16 @@ void SocialSearchEngine::RegisterAlgorithms() {
 }
 
 Result<std::unique_ptr<SocialSearchEngine>> SocialSearchEngine::OpenSnapshot(
-    const std::string& dir, Options options,
+    const std::string& dir, uint64_t generation, Options options,
     const persist::SnapshotOpenOptions& open_options) {
-  AMICI_ASSIGN_OR_RETURN(persist::LoadedEngineState loaded,
-                         persist::LoadEngineSnapshot(dir, open_options));
-  return FromLoadedSnapshot(dir, std::move(loaded), std::move(options));
-}
-
-Result<std::unique_ptr<SocialSearchEngine>>
-SocialSearchEngine::FromLoadedSnapshot(const std::string& dir,
-                                       persist::LoadedEngineState loaded,
-                                       Options options) {
-  if (loaded.manifest.num_shards != 0) {
-    return Status::InvalidArgument(
-        dir + " holds a service snapshot (num_shards = " +
-        std::to_string(loaded.manifest.num_shards) +
-        "); open it through the service layer");
-  }
   if (options.proximity_provider == nullptr) {
-    if (loaded.graph == nullptr) {
-      return Status::Corruption(
-          dir + ": snapshot has no graph segment and no shared "
-                "ProximityProvider was supplied");
-    }
-    options.proximity_provider =
-        MakeProximityProvider(SocialGraph(*loaded.graph), options);
+    return Status::InvalidArgument(
+        "options.proximity_provider is required: a shard snapshot holds no "
+        "graph (open whole deployments with SearchService::OpenSnapshot)");
   }
+  AMICI_ASSIGN_OR_RETURN(
+      persist::LoadedEngineState loaded,
+      persist::LoadEngineSnapshot(dir, generation, open_options));
   std::unique_ptr<SocialSearchEngine> engine(
       new SocialSearchEngine(std::move(loaded.store), std::move(options)));
   engine->proximity_ = engine->options_.proximity_provider;
@@ -182,9 +165,6 @@ SocialSearchEngine::FromLoadedSnapshot(const std::string& dir,
   engine->snapshot_.store(
       std::shared_ptr<const EngineSnapshot>(std::move(next)));
   engine->RegisterAlgorithms();
-  // The segments on disk ARE this engine's state: a later SaveSnapshot
-  // into the same directory may go incremental against them.
-  engine->last_save_ = {dir, loaded.manifest.generation, view.generation};
   return engine;
 }
 
@@ -601,48 +581,11 @@ Status SocialSearchEngine::Compact(CompactionMode mode,
   return Status::Ok();
 }
 
-Result<persist::SnapshotSaveReport> SocialSearchEngine::SaveSnapshot(
-    const std::string& dir, persist::SnapshotSaveOptions options) {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  std::optional<persist::Manifest> prev;
-  if (persist::FileExists(persist::JoinPath(dir, "CURRENT"))) {
-    AMICI_ASSIGN_OR_RETURN(persist::Manifest loaded,
-                           persist::LoadCurrentManifest(dir));
-    if (loaded.num_shards != 0) {
-      return Status::InvalidArgument(
-          dir + " holds a service snapshot; save through the service layer");
-    }
-    prev = std::move(loaded);
-  }
-  const uint64_t generation = prev ? prev->generation + 1 : 1;
-  // Under the writer mutex the published snapshot IS the full engine
-  // state (every publish happens under this mutex), so the save is
-  // consistent: store extent, indexes and graph all from one generation.
-  const std::shared_ptr<const EngineSnapshot> snap = snapshot();
-  options.graph_unchanged_since_prev =
-      prev && last_save_.dir == dir &&
-      last_save_.generation == prev->generation &&
-      last_save_.graph_version == snap->graph_version;
-  persist::SnapshotSaveReport report;
-  AMICI_ASSIGN_OR_RETURN(
-      const persist::Manifest manifest,
-      persist::WriteEngineSnapshot(dir, *snap, generation,
-                                   prev ? &*prev : nullptr, options, &report));
-  AMICI_RETURN_IF_ERROR(persist::CommitCurrent(dir, generation));
-  // Cleanup is best-effort after the commit point; a failure here leaves
-  // garbage files, never a broken snapshot.
-  AMICI_RETURN_IF_ERROR(persist::RemoveRetiredFiles(dir, manifest));
-  last_save_ = {dir, generation, snap->graph_version};
-  return report;
-}
-
 Result<persist::Manifest> SocialSearchEngine::WriteSnapshotFiles(
     const std::string& dir, uint64_t generation, const persist::Manifest* prev,
-    const persist::SnapshotSaveOptions& options,
     persist::SnapshotSaveReport* report) {
   const std::shared_ptr<const EngineSnapshot> snap = snapshot();
-  return persist::WriteEngineSnapshot(dir, *snap, generation, prev, options,
-                                      report);
+  return persist::WriteEngineSnapshot(dir, *snap, generation, prev, report);
 }
 
 }  // namespace amici

@@ -137,9 +137,8 @@ class SocialSearchEngine {
     /// set.
     size_t proximity_warm_top_n = 16;
     /// When the private provider folds its delta-overlay patch into a
-    /// fresh base CSR; null selects AdaptiveOverlayFoldPolicy defaults.
-    /// Ignored when proximity_provider is set.
-    std::shared_ptr<const OverlayFoldPolicy> proximity_fold_policy;
+    /// fresh base CSR. Ignored when proximity_provider is set.
+    AdaptiveOverlayFoldPolicy proximity_fold_policy;
     /// Posting-list / impact-list knobs (ablation surface).
     InvertedIndex::Options index_options;
     /// Geo grid cell size in degrees (used when the store has geo items).
@@ -167,27 +166,18 @@ class SocialSearchEngine {
   static Result<std::unique_ptr<SocialSearchEngine>> Build(ItemStore store,
                                                            Options options);
 
-  /// Reopens an engine from a snapshot directory written by
-  /// SaveSnapshot: maps and verifies the segments named by CURRENT (or
-  /// open_options.manifest_name), reconstructs the catalogue, views the
-  /// posting payloads zero-copy in the mapped files, and restores the
-  /// indexes/grid without any index build. When
-  /// options.proximity_provider is null the snapshot's own graph segment
-  /// feeds a private provider; services opening per-shard snapshots pass
-  /// the shared provider they restored from the root graph segment (the
-  /// shard manifest then has no graph segment to ignore).
+  /// Reopens one shard of a service snapshot: maps and verifies the
+  /// segments dir/MANIFEST-<generation> names (the generation the
+  /// service root pins), reconstructs the catalogue, views the posting
+  /// payloads zero-copy in the mapped files, and restores the
+  /// indexes/grid without any index build. options.proximity_provider is
+  /// required (InvalidArgument otherwise): the service restores the one
+  /// shared provider from its root graph segment and hands it to every
+  /// shard. Whole deployments reopen through SearchService::OpenSnapshot.
   static Result<std::unique_ptr<SocialSearchEngine>> OpenSnapshot(
-      const std::string& dir, Options options,
+      const std::string& dir, uint64_t generation, Options options,
       const persist::SnapshotOpenOptions& open_options =
           persist::SnapshotOpenOptions());
-
-  /// The construction half of OpenSnapshot: assembles an engine from a
-  /// state already read by persist::LoadEngineSnapshot(dir, ...).
-  /// Services use the split to overlap shard segment loads with the
-  /// root graph/provider restore; everyone else wants OpenSnapshot.
-  static Result<std::unique_ptr<SocialSearchEngine>> FromLoadedSnapshot(
-      const std::string& dir, persist::LoadedEngineState loaded,
-      Options options);
 
   /// The ONE mapping from engine options to a ProximityProvider over
   /// `graph` (model, cache capacity, warm-over and fold-policy knobs).
@@ -281,28 +271,16 @@ class SocialSearchEngine {
   /// the merge and rebuild paths on identical state.
   Status Compact(CompactionMode mode, CompactionOutcome* outcome);
 
-  /// Persists the current snapshot into `dir` and commits it: segments +
-  /// MANIFEST-<gen> written and fsynced, CURRENT atomically repointed,
-  /// superseded files deleted. When `dir` already holds a committed
-  /// snapshot this engine saved (or was opened from) in this process,
-  /// the save is incremental — only the lists touched since the previous
-  /// save's index horizon are rewritten (options.mode can force either
-  /// path). Holds the writer mutex for the duration: ingest stalls,
-  /// queries do not.
-  Result<persist::SnapshotSaveReport> SaveSnapshot(
-      const std::string& dir,
-      persist::SnapshotSaveOptions options = persist::SnapshotSaveOptions());
-
-  /// Service building block: writes segments + MANIFEST-<generation> for
-  /// the current snapshot into `dir` WITHOUT committing CURRENT — a
-  /// sharded service writes every shard's files first and then commits
-  /// one root CURRENT over all of them. Callers serialize saves
-  /// themselves (the service writer mutex).
+  /// Writes this shard's segments + MANIFEST-<generation> for the current
+  /// snapshot into `dir` WITHOUT committing anything — the service writes
+  /// every shard's files first and then commits one root manifest and
+  /// CURRENT over all of them (SearchService::SaveSnapshot). Incremental
+  /// against `prev` (the shard's previous manifest) when the current
+  /// state extends it. Callers serialize saves themselves (the service
+  /// writer mutex).
   Result<persist::Manifest> WriteSnapshotFiles(
       const std::string& dir, uint64_t generation,
-      const persist::Manifest* prev,
-      const persist::SnapshotSaveOptions& options,
-      persist::SnapshotSaveReport* report);
+      const persist::Manifest* prev, persist::SnapshotSaveReport* report);
 
   /// The current snapshot (lock-free load). Holding the returned pointer
   /// pins this generation's graph, indexes and grid for as long as the
@@ -387,18 +365,6 @@ class SocialSearchEngine {
   /// Never held while a query executes.
   std::mutex writer_mutex_;
   AtomicSharedPtr<const EngineSnapshot> snapshot_;
-
-  /// In-process record of the last committed save (or the snapshot this
-  /// engine was opened from): lets the next SaveSnapshot prove "graph
-  /// unchanged since the segment on disk" by comparing provider
-  /// generations — valid only within one process, which is exactly what
-  /// this tracks. Guarded by writer_mutex_.
-  struct LastSave {
-    std::string dir;
-    uint64_t generation = 0;
-    uint64_t graph_version = 0;
-  };
-  LastSave last_save_;
 };
 
 /// The next fetch depth of owner-diversified iterative deepening

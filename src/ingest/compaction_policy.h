@@ -2,7 +2,6 @@
 #define AMICI_INGEST_COMPACTION_POLICY_H_
 
 #include <cstddef>
-#include <string_view>
 
 namespace amici {
 
@@ -26,46 +25,23 @@ struct CompactionSignals {
   size_t last_tail_scan_items = 0;
 };
 
-/// Decides when an engine's tail should be folded into fresh indexes.
-/// Implementations must be stateless const objects: one policy instance
-/// is shared across every shard of a service and consulted concurrently.
-class CompactionPolicy {
- public:
-  virtual ~CompactionPolicy() = default;
-
-  /// Stable identifier for logs and bench output.
-  virtual std::string_view name() const = 0;
+/// Decides when an engine's tail should be folded into fresh indexes:
+/// compact when the tail is large in absolute terms OR when queries are
+/// measurably paying for it (tail-scan latency over budget, gated on a
+/// minimum tail so a timing blip on a near-empty tail cannot trigger a
+/// full index rebuild). An empty tail never triggers. A plain value: the
+/// scheduler holds one copy and consults it for every shard.
+struct AdaptiveCompactionPolicy {
+  /// Tail-size trigger: compact once this many items are un-indexed.
+  size_t max_tail_items = 8192;
+  /// Latency trigger: compact once a query's tail fold costs more than
+  /// this many milliseconds...
+  double max_tail_scan_ms = 2.0;
+  /// ...provided the tail holds at least this many items.
+  size_t min_tail_items = 64;
 
   /// True when `signals` warrants compacting this shard now.
-  virtual bool ShouldCompact(const CompactionSignals& signals) const = 0;
-};
-
-/// The default policy: compact when the tail is large in absolute terms
-/// OR when queries are measurably paying for it (tail-scan latency over
-/// budget, gated on a minimum tail so a timing blip on a near-empty tail
-/// cannot trigger a full index rebuild). An empty tail never triggers.
-class AdaptiveCompactionPolicy final : public CompactionPolicy {
- public:
-  struct Options {
-    /// Tail-size trigger: compact once this many items are un-indexed.
-    size_t max_tail_items = 8192;
-    /// Latency trigger: compact once a query's tail fold costs more than
-    /// this many milliseconds...
-    double max_tail_scan_ms = 2.0;
-    /// ...provided the tail holds at least this many items.
-    size_t min_tail_items = 64;
-  };
-
-  AdaptiveCompactionPolicy() = default;
-  explicit AdaptiveCompactionPolicy(Options options) : options_(options) {}
-
-  std::string_view name() const override { return "adaptive"; }
-  bool ShouldCompact(const CompactionSignals& signals) const override;
-
-  const Options& options() const { return options_; }
-
- private:
-  Options options_;
+  bool ShouldCompact(const CompactionSignals& signals) const;
 };
 
 }  // namespace amici

@@ -11,9 +11,6 @@ CompactionScheduler::CompactionScheduler(CompactionTarget* target,
                                          Options options)
     : target_(target), options_(std::move(options)) {
   AMICI_CHECK(target_ != nullptr);
-  if (options_.policy == nullptr) {
-    options_.policy = std::make_shared<AdaptiveCompactionPolicy>();
-  }
   AMICI_CHECK(options_.poll_interval_ms > 0.0);
   poller_ = std::thread(&CompactionScheduler::SchedulerLoop, this);
 }
@@ -24,7 +21,7 @@ size_t CompactionScheduler::PollOnce() {
   size_t compacted = 0;
   const size_t shards = target_->num_shards();
   for (size_t s = 0; s < shards; ++s) {
-    if (!options_.policy->ShouldCompact(target_->ShardSignals(s))) continue;
+    if (!options_.policy.ShouldCompact(target_->ShardSignals(s))) continue;
     CompactionOutcome outcome;
     const Status status = target_->CompactShard(s, &outcome);
     if (status.ok()) {

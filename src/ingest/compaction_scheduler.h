@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -47,9 +46,8 @@ class CompactionTarget {
 class CompactionScheduler {
  public:
   struct Options {
-    /// Shared across shards; null selects AdaptiveCompactionPolicy with
-    /// default options.
-    std::shared_ptr<const CompactionPolicy> policy;
+    /// Consulted for every shard.
+    AdaptiveCompactionPolicy policy;
     /// Cadence of the signal poll, milliseconds.
     double poll_interval_ms = 20.0;
   };
@@ -71,8 +69,6 @@ class CompactionScheduler {
 
   /// Stops the polling thread. Idempotent.
   void Stop();
-
-  const CompactionPolicy& policy() const { return *options_.policy; }
 
   /// Compactions triggered since construction (sum over shards).
   uint64_t compactions_triggered() const {

@@ -56,7 +56,8 @@ struct Manifest {
 
   // Service-level state (root manifest of a SearchService snapshot):
   // shards live in shard-<i>/ subdirectories, each with its own
-  // MANIFEST-<gen> of the same generation. 0 = bare engine snapshot.
+  // MANIFEST-<gen> of the same generation. 0 = a shard manifest (or, at
+  // a root, the retired bare-engine layout, which opens as an error).
   uint32_t num_shards = 0;
   ShardPlacement placement = ShardPlacement::kModulo;
   std::string wal_file;  // ingest WAL name, empty = none

@@ -377,10 +377,39 @@ Status ApplyGridSegment(
 
 }  // namespace
 
+Result<SegmentInfo> WriteSegment(const std::string& dir, SegmentKind kind,
+                                 uint64_t generation, std::string_view payload,
+                                 uint64_t entries, SnapshotSaveReport* report) {
+  SegmentInfo info;
+  info.kind = kind;
+  info.generation = generation;
+  info.file = SegmentFileName(kind, generation);
+  info.payload_bytes = payload.size();
+  info.checksum = Fnv1a64(payload);
+  info.entries = entries;
+  AMICI_RETURN_IF_ERROR(WriteSegmentFile(JoinPath(dir, info.file), kind,
+                                         payload, info.checksum));
+  ++report->segments_written;
+  report->bytes_written += payload.size() + kSegmentHeaderSize;
+  return info;
+}
+
+Result<std::shared_ptr<const MappedSegment>> OpenSegment(
+    const std::string& dir, const SegmentInfo& info, bool verify_checksums) {
+  AMICI_ASSIGN_OR_RETURN(
+      std::shared_ptr<const MappedSegment> seg,
+      MappedSegment::Open(JoinPath(dir, info.file), info.kind,
+                          verify_checksums));
+  if (seg->payload_checksum() != info.checksum ||
+      seg->payload().size() != info.payload_bytes) {
+    return Status::Corruption(info.file + ": segment does not match manifest");
+  }
+  return seg;
+}
+
 Result<Manifest> WriteEngineSnapshot(const std::string& dir,
                                      const EngineSnapshot& snap,
                                      uint64_t generation, const Manifest* prev,
-                                     const SnapshotSaveOptions& options,
                                      SnapshotSaveReport* report) {
   AMICI_RETURN_IF_ERROR(EnsureDir(dir));
   const ItemStoreView& view = snap.store;
@@ -392,40 +421,15 @@ Result<Manifest> WriteEngineSnapshot(const std::string& dir,
 
   // An incremental save is sound only against a base this state strictly
   // extends: same universe shape, monotone item/index growth, identical
-  // index knobs. Anything else falls back to (or fails for) a full save.
-  std::string incompatible;
-  if (prev == nullptr) {
-    incompatible = "no previous manifest";
-  } else if (prev->num_items > num_items ||
-             prev->index_horizon > snap.index_horizon) {
-    incompatible = "previous manifest covers more than the live state";
-  } else if (prev->num_users != num_users) {
-    incompatible = "user universe changed";
-  } else if (prev->num_tags > num_tags) {
-    incompatible = "tag universe shrank";
-  } else if ((prev->has_impact_ordered != 0) != inverted.has_impact_ordered()) {
-    incompatible = "impact-ordered materialization changed";
-  } else if (prev->has_grid != 0 && snap.grid == nullptr) {
-    incompatible = "grid disappeared";
-  } else if (prev->has_grid != 0 && snap.grid != nullptr &&
-             prev->grid_cell_size_deg != snap.grid->cell_size_deg()) {
-    incompatible = "grid geometry changed";
-  }
-  bool incremental = false;
-  switch (options.mode) {
-    case SnapshotSaveOptions::Mode::kFull:
-      break;
-    case SnapshotSaveOptions::Mode::kAuto:
-      incremental = incompatible.empty();
-      break;
-    case SnapshotSaveOptions::Mode::kIncremental:
-      if (!incompatible.empty()) {
-        return Status::FailedPrecondition("incremental save impossible: " +
-                                          incompatible);
-      }
-      incremental = true;
-      break;
-  }
+  // index knobs. Anything else is a full save.
+  const bool incremental =
+      prev != nullptr && prev->num_items <= num_items &&
+      prev->index_horizon <= snap.index_horizon &&
+      prev->num_users == num_users && prev->num_tags <= num_tags &&
+      (prev->has_impact_ordered != 0) == inverted.has_impact_ordered() &&
+      (prev->has_grid == 0 ||
+       (snap.grid != nullptr &&
+        prev->grid_cell_size_deg == snap.grid->cell_size_deg()));
 
   // Delta keys. Items in [prev horizon, new horizon) are exactly the rows
   // compaction folded in since the last save; merge compaction being
@@ -483,37 +487,16 @@ Result<Manifest> WriteEngineSnapshot(const std::string& dir,
   stats.generation = generation;
   stats.incremental = incremental;
 
-  // Graph handling decides which prev segments stay live: on an
-  // incremental save every previous segment carries over EXCEPT a graph
-  // superseded by a new generation.
-  const bool graph_unchanged =
-      incremental && options.graph_unchanged_since_prev &&
-      std::any_of(prev->segments.begin(), prev->segments.end(),
-                  [](const SegmentInfo& s) {
-                    return s.kind == SegmentKind::kGraph;
-                  });
-  const bool write_graph = options.include_graph && !graph_unchanged;
-  if (incremental) {
-    for (const SegmentInfo& info : prev->segments) {
-      if (info.kind == SegmentKind::kGraph && write_graph) continue;
-      manifest.segments.push_back(info);
-    }
-  }
+  // An incremental save carries every previous segment over; the new
+  // generation's segments supersede them per key.
+  if (incremental) manifest.segments = prev->segments;
 
-  const auto emit = [&](SegmentKind kind, std::string payload,
+  const auto emit = [&](SegmentKind kind, const std::string& payload,
                         uint64_t entries) -> Status {
-    SegmentInfo info;
-    info.kind = kind;
-    info.generation = generation;
-    info.file = SegmentFileName(kind, generation);
-    info.payload_bytes = payload.size();
-    info.checksum = Fnv1a64(payload);
-    info.entries = entries;
-    AMICI_RETURN_IF_ERROR(WriteSegmentFile(JoinPath(dir, info.file), kind,
-                                           payload, info.checksum));
+    AMICI_ASSIGN_OR_RETURN(
+        SegmentInfo info,
+        WriteSegment(dir, kind, generation, payload, entries, &stats));
     manifest.segments.push_back(std::move(info));
-    ++stats.segments_written;
-    stats.bytes_written += payload.size() + kSegmentHeaderSize;
     return Status::Ok();
   };
 
@@ -544,11 +527,6 @@ Result<Manifest> WriteEngineSnapshot(const std::string& dir,
         emit(SegmentKind::kGrid,
              BuildGridPayload(*snap.grid, cells_to_write, &stats.lists_written),
              cells_to_write.size()));
-  }
-  if (write_graph) {
-    AMICI_RETURN_IF_ERROR(emit(SegmentKind::kGraph,
-                               BuildGraphSegmentPayload(*snap.graph),
-                               snap.graph->num_edges()));
   }
 
   AMICI_RETURN_IF_ERROR(WriteManifestFile(dir, manifest));
@@ -670,16 +648,19 @@ Result<SocialGraph> ParseGraphSegmentPayload(std::string_view payload) {
 }
 
 Result<LoadedEngineState> LoadEngineSnapshot(
-    const std::string& dir, const SnapshotOpenOptions& options) {
+    const std::string& dir, uint64_t generation,
+    const SnapshotOpenOptions& options) {
   LoadedEngineState state;
-  if (options.manifest_name.empty()) {
-    AMICI_ASSIGN_OR_RETURN(state.manifest, LoadCurrentManifest(dir));
-  } else {
-    AMICI_ASSIGN_OR_RETURN(
-        state.manifest,
-        ReadManifestFile(JoinPath(dir, options.manifest_name)));
-  }
+  AMICI_ASSIGN_OR_RETURN(
+      state.manifest,
+      ReadManifestFile(JoinPath(dir, ManifestFileName(generation))));
   const Manifest& manifest = state.manifest;
+  if (manifest.num_shards != 0) {
+    return Status::InvalidArgument(
+        dir + " holds a service root manifest (num_shards = " +
+        std::to_string(manifest.num_shards) +
+        "); open it through SearchService::OpenSnapshot");
+  }
 
   // Group by kind, ascending generation within a kind (later
   // generations apply last so they win per key). Kinds populate
@@ -687,6 +668,11 @@ Result<LoadedEngineState> LoadEngineSnapshot(
   // the restart critical path is the slowest kind, not the sum.
   std::map<SegmentKind, std::vector<const SegmentInfo*>> by_kind;
   for (const SegmentInfo& info : manifest.segments) {
+    if (info.kind == SegmentKind::kGraph) {
+      // The service keeps the one graph at its root, never in a shard.
+      return Status::Corruption(dir + ": shard manifest lists graph segment " +
+                                info.file);
+    }
     by_kind[info.kind].push_back(&info);
   }
   for (auto& [kind, infos] : by_kind) {
@@ -707,20 +693,9 @@ Result<LoadedEngineState> LoadEngineSnapshot(
   const auto apply_kind =
       [&](const std::vector<const SegmentInfo*>& infos) -> Status {
     for (const SegmentInfo* info : infos) {
-      auto opened = MappedSegment::Open(JoinPath(dir, info->file), info->kind,
-                                        options.verify_checksums);
-      AMICI_RETURN_IF_ERROR(opened.status());
-      const std::shared_ptr<const MappedSegment> seg =
-          std::move(opened).value();
-      // The manifest is the root of trust: its recorded checksum must
-      // match what the segment header claims (and, when verifying, what
-      // the bytes hash to) — a swapped-in file from another snapshot
-      // cannot pass.
-      if (seg->payload_checksum() != info->checksum ||
-          seg->payload().size() != info->payload_bytes) {
-        return Status::Corruption(info->file +
-                                  ": segment does not match manifest");
-      }
+      AMICI_ASSIGN_OR_RETURN(
+          const std::shared_ptr<const MappedSegment> seg,
+          OpenSegment(dir, *info, options.verify_checksums));
       switch (info->kind) {
         case SegmentKind::kItems:
           AMICI_RETURN_IF_ERROR(
@@ -739,16 +714,9 @@ Result<LoadedEngineState> LoadEngineSnapshot(
           AMICI_RETURN_IF_ERROR(ApplyGridSegment(
               seg->payload(), *info, manifest.grid_cell_size_deg, &cells));
           break;
-        case SegmentKind::kGraph: {
-          auto graph = ParseGraphSegmentPayload(seg->payload());
-          if (!graph.ok()) {
-            return Status::Corruption(info->file + ": " +
-                                      graph.status().message());
-          }
-          state.graph = std::make_shared<const SocialGraph>(
-              std::move(graph).value());
+        case SegmentKind::kGraph:
+          // Unreachable: graph segments are refused before any kind runs.
           break;
-        }
       }
     }
     return Status::Ok();
@@ -793,9 +761,6 @@ Result<LoadedEngineState> LoadEngineSnapshot(
     return Status::Corruption(
         "items segments reconstruct " + std::to_string(state.store.num_items()) +
         " items, manifest records " + std::to_string(manifest.num_items));
-  }
-  if (state.graph != nullptr && state.graph->num_users() != manifest.num_users) {
-    return Status::Corruption("graph user count does not match manifest");
   }
   if (manifest.has_grid != 0) {
     state.grid_cells.reserve(cells.size());

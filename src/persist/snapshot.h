@@ -11,6 +11,7 @@
 #include "core/engine_snapshot.h"
 #include "graph/social_graph.h"
 #include "persist/manifest.h"
+#include "persist/segment.h"
 #include "storage/item_store.h"
 #include "storage/posting_list.h"
 #include "util/status.h"
@@ -18,20 +19,23 @@
 namespace amici {
 namespace persist {
 
-/// Engine-level snapshot save/load: the codecs between an immutable
-/// EngineSnapshot and a directory of segment files + manifest.
+/// Shard-level snapshot save/load: the codecs between one engine's
+/// immutable EngineSnapshot and a directory of segment files + manifest.
+/// Every persisted deployment is a SearchService snapshot (see
+/// src/service/service_persistence.h), so this directory is always a
+/// service's shard-<i>/:
 ///
-/// Directory layout (bare engine; services add a root manifest, WAL and
-/// shard-<i>/ subdirectories on top — see SearchService::SaveSnapshot):
-///
-///   CURRENT             -> names the live MANIFEST-<gen> (atomic commit)
-///   MANIFEST-<gen>      checksummed root of trust (persist/manifest.h)
+///   MANIFEST-<gen>      checksummed root of trust (persist/manifest.h);
+///                       no CURRENT here — the service root manifest
+///                       names the generation to open
 ///   items-<gen>.seg     catalogue rows [first_id, first_id + count)
 ///   postings-<gen>.seg  per-tag posting-list v2 images + impact arrays
 ///   social-<gen>.seg    per-owner quality-ordered buckets
 ///   grid-<gen>.seg      per-cell item lists (only when geo items exist)
-///   graph-<gen>.seg     CSR graph image (omitted for shard snapshots —
-///                       the service owns ONE graph for all shards)
+///
+/// The graph is not part of a shard: the service writes ONE graph segment
+/// at its root for all shards, and a shard manifest that lists one is
+/// Corruption.
 ///
 /// Posting segments embed the PostingList v2 serialized image VERBATIM,
 /// so a loaded snapshot maps them and traverses blocks zero-copy —
@@ -41,29 +45,10 @@ namespace persist {
 /// Incremental saves: because merge compaction is bit-identical to a
 /// full rebuild, a key's serialized list changes ONLY when items in
 /// [prev index_horizon, new index_horizon) touch it. A save against a
-/// previous manifest therefore writes just those tags / owners / cells
-/// (plus the new catalogue rows) as a new segment generation; readers
-/// apply generations in order, latest wins per key, and untouched
-/// segments stay live across saves.
-
-struct SnapshotSaveOptions {
-  enum class Mode {
-    kAuto,         // incremental when a compatible previous manifest exists
-    kFull,         // rewrite everything
-    kIncremental,  // delta or fail (FailedPrecondition without a base)
-  };
-  Mode mode = Mode::kAuto;
-  /// Shard snapshots set this false: the graph is saved once at the
-  /// service root, not once per shard.
-  bool include_graph = true;
-  /// Set only when the caller KNOWS the live graph is byte-identical to
-  /// the previous manifest's graph segment; an incremental save then
-  /// carries that segment over instead of rewriting O(E) bytes. Graph
-  /// version counters restart per process, so version equality with a
-  /// manifest written by an earlier process proves nothing — the engine
-  /// sets this from in-process save tracking, never from the manifest.
-  bool graph_unchanged_since_prev = false;
-};
+/// compatible previous manifest therefore writes just those tags /
+/// owners / cells (plus the new catalogue rows) as a new segment
+/// generation; readers apply generations in order, latest wins per key,
+/// and untouched segments stay live across saves.
 
 struct SnapshotSaveReport {
   uint64_t generation = 0;
@@ -78,9 +63,6 @@ struct SnapshotOpenOptions {
   /// faults to first use (the cold-start bench's lazy path); header
   /// checksums and manifest cross-checks still run.
   bool verify_checksums = true;
-  /// Specific manifest to open (a service root pins its shards' manifest
-  /// generation). Empty = read CURRENT.
-  std::string manifest_name;
 };
 
 /// What LoadEngineSnapshot reconstructs; the engine assembles it into a
@@ -89,8 +71,6 @@ struct SnapshotOpenOptions {
 struct LoadedEngineState {
   Manifest manifest;
   ItemStore store;
-  /// Null when the snapshot has no graph segment (shard snapshots).
-  std::shared_ptr<const SocialGraph> graph;
   /// Tag-indexed handles for InvertedIndex::Restore. Posting lists VIEW
   /// the mapped segments (each holds its segment as keepalive).
   std::vector<std::shared_ptr<const PostingList>> doc_ordered;
@@ -103,15 +83,28 @@ struct LoadedEngineState {
 };
 
 /// Writes the segment files and MANIFEST-<generation> for `snap` into
-/// `dir` (created if missing) — everything except the CURRENT commit,
-/// which the caller performs (engines commit directly; services commit
-/// one root CURRENT over many shard writes). `prev`, when non-null, is
-/// the directory's live manifest and enables an incremental save.
+/// `dir` (created if missing) — everything except the commit, which the
+/// service performs once for all shards by writing its root manifest and
+/// CURRENT. `prev`, when non-null, is the directory's live manifest: the
+/// save is incremental when `snap` strictly extends it, full otherwise.
 Result<Manifest> WriteEngineSnapshot(const std::string& dir,
                                      const EngineSnapshot& snap,
                                      uint64_t generation, const Manifest* prev,
-                                     const SnapshotSaveOptions& options,
                                      SnapshotSaveReport* report);
+
+/// Writes `payload` as the generation-`generation` segment of `kind` in
+/// `dir` ("<kind>-<6-digit generation>.seg", fsynced) and returns its
+/// manifest entry; adds the segment and its bytes to `report`.
+Result<SegmentInfo> WriteSegment(const std::string& dir, SegmentKind kind,
+                                 uint64_t generation, std::string_view payload,
+                                 uint64_t entries, SnapshotSaveReport* report);
+
+/// Maps the segment `info` names in `dir` and checks it against that
+/// manifest entry: the header's payload checksum and size must match what
+/// the manifest recorded (and, when verifying, what the bytes hash to), so
+/// a file swapped in from another snapshot cannot pass.
+Result<std::shared_ptr<const MappedSegment>> OpenSegment(
+    const std::string& dir, const SegmentInfo& info, bool verify_checksums);
 
 /// Graph segment payload codec: a raw CSR image
 ///   u64 num_users | u64 neighbor_slots
@@ -132,11 +125,14 @@ Result<Manifest> WriteEngineSnapshot(const std::string& dir,
 std::string BuildGraphSegmentPayload(const SocialGraph& graph);
 Result<SocialGraph> ParseGraphSegmentPayload(std::string_view payload);
 
-/// Loads the state a manifest describes: maps and verifies every live
-/// segment, replays item generations into a fresh store, resolves
-/// per-key latest-wins over list generations.
-Result<LoadedEngineState> LoadEngineSnapshot(const std::string& dir,
-                                             const SnapshotOpenOptions& options);
+/// Loads the state dir/MANIFEST-<generation> describes: maps and verifies
+/// every live segment, replays item generations into a fresh store,
+/// resolves per-key latest-wins over list generations. A service root
+/// manifest (num_shards != 0) is InvalidArgument; a graph segment is
+/// Corruption.
+Result<LoadedEngineState> LoadEngineSnapshot(
+    const std::string& dir, uint64_t generation,
+    const SnapshotOpenOptions& options);
 
 /// Deletes snapshot files in `dir` that `live` no longer references
 /// (superseded segments, old manifests, stale WALs). Run after a

@@ -37,9 +37,7 @@ ProximityProvider::ProximityProvider(SocialGraph graph, Options options)
                  ? std::move(options.model)
                  : std::make_shared<PprForwardPush>(/*restart_prob=*/0.15,
                                                     /*epsilon=*/1e-4)),
-      fold_policy_(options.fold_policy != nullptr
-                       ? std::move(options.fold_policy)
-                       : std::make_shared<AdaptiveOverlayFoldPolicy>()),
+      fold_policy_(options.fold_policy),
       warm_top_n_(options.warm_top_n),
       delta_(std::move(graph)),
       flight_(std::make_unique<SingleFlightProximity>(
@@ -100,7 +98,7 @@ Status ProximityProvider::EditEdge(UserId u, UserId v, bool insert) {
 
     if (warm_ != nullptr) warm_->Submit(*next, std::move(hottest));
 
-    should_fold = fold_policy_->ShouldFold(delta_.signals());
+    should_fold = fold_policy_.ShouldFold(delta_.signals());
   }
   if (should_fold) FoldOverlay();
   return Status::Ok();

@@ -110,9 +110,8 @@ class ProximityProvider {
     /// Hottest users recomputed in the background after a generation
     /// bump. 0 disables warm-over (useful for exact-count tests).
     size_t warm_top_n = 16;
-    /// When to fold the overlay patch into a fresh base CSR; null
-    /// selects AdaptiveOverlayFoldPolicy defaults.
-    std::shared_ptr<const OverlayFoldPolicy> fold_policy;
+    /// When to fold the overlay patch into a fresh base CSR.
+    AdaptiveOverlayFoldPolicy fold_policy;
   };
 
   /// Takes ownership of `graph` as generation 0 (any overlay it carries,
@@ -183,7 +182,7 @@ class ProximityProvider {
   Status EditEdge(UserId u, UserId v, bool insert);
 
   std::shared_ptr<const ProximityModel> model_;
-  std::shared_ptr<const OverlayFoldPolicy> fold_policy_;
+  const AdaptiveOverlayFoldPolicy fold_policy_;
   const size_t warm_top_n_;
 
   /// Writer-side graph state — guarded by writer_mutex_, except that the

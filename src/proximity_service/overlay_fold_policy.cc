@@ -7,11 +7,10 @@ namespace amici {
 bool AdaptiveOverlayFoldPolicy::ShouldFold(
     const OverlaySignals& signals) const {
   if (signals.patch_rows == 0) return false;
-  if (signals.patch_rows >= options_.max_patch_rows) return true;
-  const double floor = static_cast<double>(
-      std::max(signals.base_slots, options_.min_base_slots));
-  return static_cast<double>(signals.patch_slots) >
-         options_.max_slot_ratio * floor;
+  if (signals.patch_rows >= max_patch_rows) return true;
+  const double floor =
+      static_cast<double>(std::max(signals.base_slots, min_base_slots));
+  return static_cast<double>(signals.patch_slots) > max_slot_ratio * floor;
 }
 
 }  // namespace amici

@@ -2,7 +2,6 @@
 #define AMICI_PROXIMITY_SERVICE_OVERLAY_FOLD_POLICY_H_
 
 #include <cstddef>
-#include <string_view>
 
 namespace amici {
 
@@ -21,49 +20,25 @@ struct OverlaySignals {
 };
 
 /// Decides when a delta-overlay graph's patch should be folded into a
-/// fresh base CSR. Implementations must be stateless const objects: one
-/// policy instance is shared by every provider/partition that consults it,
-/// concurrently (same contract as CompactionPolicy).
-class OverlayFoldPolicy {
- public:
-  virtual ~OverlayFoldPolicy() = default;
-
-  /// Stable identifier for logs and bench output.
-  virtual std::string_view name() const = 0;
+/// fresh base CSR: fold when the patch is large in absolute terms (row
+/// count) OR large relative to the base (patch slots exceed a fraction of
+/// the base, floored so small test graphs do not fold on every edit). An
+/// empty patch never triggers. A plain value, held by copy in
+/// ProximityProvider::Options (same shape as AdaptiveCompactionPolicy).
+struct AdaptiveOverlayFoldPolicy {
+  /// Row-count trigger: fold once this many users carry replacement rows
+  /// (bounds per-edit copy-on-write cost, which is linear in the touched
+  /// bucket's row count).
+  size_t max_patch_rows = 1024;
+  /// Ratio trigger: fold once patch slots exceed this fraction of the
+  /// base adjacency...
+  double max_slot_ratio = 0.25;
+  /// ...where the base is treated as at least this many slots (keeps tiny
+  /// graphs from folding on every edit).
+  size_t min_base_slots = 8192;
 
   /// True when `signals` warrants folding now.
-  virtual bool ShouldFold(const OverlaySignals& signals) const = 0;
-};
-
-/// The default policy: fold when the patch is large in absolute terms
-/// (row count) OR large relative to the base (patch slots exceed a
-/// fraction of the base, floored so small test graphs do not fold on
-/// every edit). An empty patch never triggers.
-class AdaptiveOverlayFoldPolicy final : public OverlayFoldPolicy {
- public:
-  struct Options {
-    /// Row-count trigger: fold once this many users carry replacement
-    /// rows (bounds per-edit copy-on-write cost, which is linear in the
-    /// touched bucket's row count).
-    size_t max_patch_rows = 1024;
-    /// Ratio trigger: fold once patch slots exceed this fraction of the
-    /// base adjacency...
-    double max_slot_ratio = 0.25;
-    /// ...where the base is treated as at least this many slots (keeps
-    /// tiny graphs from folding on every edit).
-    size_t min_base_slots = 8192;
-  };
-
-  AdaptiveOverlayFoldPolicy() = default;
-  explicit AdaptiveOverlayFoldPolicy(Options options) : options_(options) {}
-
-  std::string_view name() const override { return "adaptive"; }
-  bool ShouldFold(const OverlaySignals& signals) const override;
-
-  const Options& options() const { return options_; }
-
- private:
-  Options options_;
+  bool ShouldFold(const OverlaySignals& signals) const;
 };
 
 }  // namespace amici

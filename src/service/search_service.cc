@@ -265,7 +265,7 @@ Result<persist::SnapshotSaveReport> SearchService::SaveSnapshot(
   for (const auto& shard : shards_) engines.push_back(shard.get());
   return SaveServiceSnapshot(dir, engines, *provider_,
                              num_items_.load(std::memory_order_acquire),
-                             persist::SnapshotSaveOptions(), &persist_);
+                             &persist_);
 }
 
 // --- Query QoS edge ----------------------------------------------------

@@ -1,14 +1,10 @@
 #include "service/service_persistence.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <optional>
 #include <utility>
 
 #include "persist/fs_util.h"
-#include "persist/segment.h"
 #include "persist/snapshot.h"
-#include "util/hash.h"
 
 namespace amici {
 
@@ -31,7 +27,7 @@ bool PlacementReadable(const persist::Manifest& root) {
 Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
     const std::string& dir, std::span<SocialSearchEngine* const> shards,
     ProximityProvider& provider, uint64_t num_items,
-    persist::SnapshotSaveOptions options, ServicePersistState* state) {
+    ServicePersistState* state) {
   AMICI_RETURN_IF_ERROR(persist::EnsureDir(dir));
 
   // Previous committed root, if any. Generation numbering always
@@ -42,24 +38,14 @@ Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
   if (persist::FileExists(persist::JoinPath(dir, "CURRENT"))) {
     AMICI_ASSIGN_OR_RETURN(persist::Manifest loaded,
                            persist::LoadCurrentManifest(dir));
-    if (loaded.num_shards == 0) {
-      return Status::InvalidArgument(
-          dir + " holds a bare engine snapshot; save through "
-                "SocialSearchEngine::SaveSnapshot");
-    }
     prev = std::move(loaded);
   }
   // A root under the retired hash placement keeps its shard segments out
-  // of reach: their items sit on other shards than they would now.
+  // of reach: their items sit on other shards than they would now. A
+  // retired bare-engine root (num_shards = 0) has no shards to reuse.
   const bool prev_compatible = prev.has_value() &&
                                prev->num_shards == shards.size() &&
                                PlacementReadable(*prev);
-  if (!prev_compatible &&
-      options.mode == persist::SnapshotSaveOptions::Mode::kIncremental) {
-    return Status::FailedPrecondition(
-        "incremental save impossible: no compatible previous service "
-        "snapshot in " + dir);
-  }
   const uint64_t generation = prev.has_value() ? prev->generation + 1 : 1;
 
   persist::SnapshotSaveReport report;
@@ -84,15 +70,12 @@ Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
         shard_prev = std::move(loaded);
       }
     }
-    persist::SnapshotSaveOptions shard_options = options;
-    shard_options.include_graph = false;  // ONE graph, at the root
-    shard_options.graph_unchanged_since_prev = false;
     persist::SnapshotSaveReport shard_report;
     AMICI_ASSIGN_OR_RETURN(
         persist::Manifest manifest,
-        shards[s]->WriteSnapshotFiles(
-            shard_dir, generation, shard_prev ? &*shard_prev : nullptr,
-            shard_options, &shard_report));
+        shards[s]->WriteSnapshotFiles(shard_dir, generation,
+                                      shard_prev ? &*shard_prev : nullptr,
+                                      &shard_report));
     report.segments_written += shard_report.segments_written;
     report.lists_written += shard_report.lists_written;
     report.bytes_written += shard_report.bytes_written;
@@ -120,21 +103,11 @@ Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
     }
   }
   if (!have_graph_info) {
-    const std::string payload = persist::BuildGraphSegmentPayload(*view.graph);
-    graph_info.kind = persist::SegmentKind::kGraph;
-    graph_info.generation = generation;
-    char name[32];
-    std::snprintf(name, sizeof(name), "graph-%06llu.seg",
-                  static_cast<unsigned long long>(generation));
-    graph_info.file = name;
-    graph_info.payload_bytes = payload.size();
-    graph_info.checksum = Fnv1a64(payload);
-    graph_info.entries = view.graph->num_edges();
-    AMICI_RETURN_IF_ERROR(persist::WriteSegmentFile(
-        persist::JoinPath(dir, graph_info.file), persist::SegmentKind::kGraph,
-        payload, graph_info.checksum));
-    ++report.segments_written;
-    report.bytes_written += payload.size() + persist::kSegmentHeaderSize;
+    AMICI_ASSIGN_OR_RETURN(
+        graph_info,
+        persist::WriteSegment(dir, persist::SegmentKind::kGraph, generation,
+                              persist::BuildGraphSegmentPayload(*view.graph),
+                              view.graph->num_edges(), &report));
   }
 
   // Fresh (empty) WAL for the new snapshot, durable BEFORE the commit
@@ -179,17 +152,13 @@ Result<LoadedServiceSnapshot> OpenServiceSnapshot(
     const persist::SnapshotOpenOptions& open_options,
     ServicePersistState* state) {
   LoadedServiceSnapshot out;
-  if (open_options.manifest_name.empty()) {
-    AMICI_ASSIGN_OR_RETURN(out.root, persist::LoadCurrentManifest(dir));
-  } else {
-    AMICI_ASSIGN_OR_RETURN(
-        out.root, persist::ReadManifestFile(
-                      persist::JoinPath(dir, open_options.manifest_name)));
-  }
+  AMICI_ASSIGN_OR_RETURN(out.root, persist::LoadCurrentManifest(dir));
   if (out.root.num_shards == 0) {
-    return Status::InvalidArgument(
-        dir + " holds a bare engine snapshot; open it through "
-              "SocialSearchEngine::OpenSnapshot");
+    return Status::FailedPrecondition(
+        dir + " holds a bare-engine snapshot (root manifest num_shards = "
+              "0), a layout this version no longer reads. Rebuild the "
+              "service from its source data and save it with "
+              "SearchService::SaveSnapshot.");
   }
   if (!PlacementReadable(out.root)) {
     return Status::FailedPrecondition(
@@ -209,14 +178,7 @@ Result<LoadedServiceSnapshot> OpenServiceSnapshot(
   }
   AMICI_ASSIGN_OR_RETURN(
       std::shared_ptr<const persist::MappedSegment> seg,
-      persist::MappedSegment::Open(persist::JoinPath(dir, graph_info->file),
-                                   persist::SegmentKind::kGraph,
-                                   open_options.verify_checksums));
-  if (seg->payload_checksum() != graph_info->checksum ||
-      seg->payload().size() != graph_info->payload_bytes) {
-    return Status::Corruption(graph_info->file +
-                              ": segment does not match root manifest");
-  }
+      persist::OpenSegment(dir, *graph_info, open_options.verify_checksums));
   auto graph = persist::ParseGraphSegmentPayload(seg->payload());
   if (!graph.ok()) {
     return Status::Corruption(graph_info->file + ": " +
@@ -236,12 +198,11 @@ Result<LoadedServiceSnapshot> OpenServiceSnapshot(
   for (size_t s = 0; s < out.root.num_shards; ++s) {
     SocialSearchEngine::Options shard_options = engine_options;
     shard_options.proximity_provider = out.provider;
-    persist::SnapshotOpenOptions shard_open = open_options;
-    shard_open.manifest_name = persist::ManifestFileName(out.root.generation);
     AMICI_ASSIGN_OR_RETURN(
         std::unique_ptr<SocialSearchEngine> engine,
-        SocialSearchEngine::OpenSnapshot(ShardDirPath(dir, s), shard_options,
-                                         shard_open));
+        SocialSearchEngine::OpenSnapshot(ShardDirPath(dir, s),
+                                         out.root.generation, shard_options,
+                                         open_options));
     total_items += engine->store().num_items();
     out.shards.push_back(std::move(engine));
   }

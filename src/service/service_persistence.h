@@ -54,14 +54,14 @@ std::string ShardDirPath(const std::string& dir, size_t shard);
 /// then attaches a fresh WAL to `state`. Incremental per shard when the
 /// directory's live snapshot is compatible (same shard count, readable
 /// placement; each shard save falls back to full when its own base is
-/// incompatible). Over an incompatible snapshot the save is full, and
-/// options.mode == kIncremental is FailedPrecondition. Caller
-/// holds the service writer mutex, so the engines' published snapshots
-/// are the complete service state.
+/// incompatible). Over an incompatible snapshot — another shard count,
+/// the retired hash placement, a retired bare-engine root — the save is
+/// full. Caller holds the service writer mutex, so the engines'
+/// published snapshots are the complete service state.
 Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
     const std::string& dir, std::span<SocialSearchEngine* const> shards,
     ProximityProvider& provider, uint64_t num_items,
-    persist::SnapshotSaveOptions options, ServicePersistState* state);
+    ServicePersistState* state);
 
 /// What OpenServiceSnapshot reconstructs. The WAL is NOT yet replayed or
 /// attached: the service first checks the shards against the manifest,
@@ -75,11 +75,11 @@ struct LoadedServiceSnapshot {
   std::vector<std::unique_ptr<SocialSearchEngine>> shards;
 };
 
-/// Opens the root manifest (CURRENT or open_options.manifest_name),
-/// restores the shared graph + provider, and opens every shard engine
-/// against its pinned manifest generation. A multi-shard root under the
-/// retired hash placement is FailedPrecondition. Fills `state` (dir,
-/// root; WAL not attached).
+/// Opens the root manifest CURRENT names, restores the shared graph +
+/// provider, and opens every shard engine against its pinned manifest
+/// generation. A multi-shard root under the retired hash placement and a
+/// retired bare-engine root (num_shards = 0) are FailedPrecondition.
+/// Fills `state` (dir, root; WAL not attached).
 Result<LoadedServiceSnapshot> OpenServiceSnapshot(
     const std::string& dir, const SocialSearchEngine::Options& engine_options,
     const persist::SnapshotOpenOptions& open_options,

@@ -1,5 +1,5 @@
-// CompactionPolicy decision table, CompactionScheduler behaviour against
-// a fake target (deterministic via PollOnce), and the end-to-end
+// AdaptiveCompactionPolicy decision table, CompactionScheduler behaviour
+// against a fake target (deterministic via PollOnce), and the end-to-end
 // background path against real Local / Sharded services: tails fold away
 // without anyone calling Compact(), per shard, and the EngineStats
 // trigger inputs reset afterwards.
@@ -21,11 +21,10 @@ namespace amici {
 namespace {
 
 TEST(AdaptiveCompactionPolicyTest, DecisionTable) {
-  AdaptiveCompactionPolicy::Options options;
-  options.max_tail_items = 100;
-  options.max_tail_scan_ms = 2.0;
-  options.min_tail_items = 10;
-  const AdaptiveCompactionPolicy policy(options);
+  AdaptiveCompactionPolicy policy;
+  policy.max_tail_items = 100;
+  policy.max_tail_scan_ms = 2.0;
+  policy.min_tail_items = 10;
 
   // An empty tail never triggers, whatever the (stale) latency says.
   EXPECT_FALSE(policy.ShouldCompact({0, 1000, 50.0}));
@@ -79,12 +78,9 @@ class FakeTarget final : public CompactionTarget {
 
 TEST(CompactionSchedulerTest, PollOnceCompactsExactlyTheFiringShards) {
   FakeTarget target(3);
-  auto policy = std::make_shared<AdaptiveCompactionPolicy>(
-      AdaptiveCompactionPolicy::Options{/*max_tail_items=*/100,
-                                        /*max_tail_scan_ms=*/2.0,
-                                        /*min_tail_items=*/10});
   CompactionScheduler::Options options;
-  options.policy = policy;
+  options.policy = {/*max_tail_items=*/100, /*max_tail_scan_ms=*/2.0,
+                    /*min_tail_items=*/10};
   options.poll_interval_ms = 1e6;  // effectively: only PollOnce acts
   CompactionScheduler scheduler(&target, options);
 
@@ -185,12 +181,9 @@ std::unique_ptr<ShardedSearchService> BuildRealService(size_t shards) {
 template <typename ServiceT>
 void RunAutoCompactionScenario(size_t shards) {
   auto service = BuildRealService<ServiceT>(shards);
-  auto policy = std::make_shared<AdaptiveCompactionPolicy>(
-      AdaptiveCompactionPolicy::Options{/*max_tail_items=*/40,
-                                        /*max_tail_scan_ms=*/1e9,
-                                        /*min_tail_items=*/10});
   CompactionScheduler::Options options;
-  options.policy = policy;
+  options.policy = {/*max_tail_items=*/40, /*max_tail_scan_ms=*/1e9,
+                    /*min_tail_items=*/10};
   options.poll_interval_ms = 1.0;
   ASSERT_TRUE(service->StartAutoCompaction(options).ok());
   EXPECT_TRUE(service->auto_compaction_running());

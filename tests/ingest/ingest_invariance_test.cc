@@ -177,10 +177,9 @@ void RunScenario(size_t shards, BackpressureMode mode, uint64_t seed) {
   pipeline_options.queue.backpressure = mode;
   ASSERT_TRUE(service->StartIngest(pipeline_options).ok());
   CompactionScheduler::Options compaction_options;
-  compaction_options.policy = std::make_shared<AdaptiveCompactionPolicy>(
-      AdaptiveCompactionPolicy::Options{/*max_tail_items=*/60,
-                                        /*max_tail_scan_ms=*/1e9,
-                                        /*min_tail_items=*/10});
+  compaction_options.policy = {/*max_tail_items=*/60,
+                               /*max_tail_scan_ms=*/1e9,
+                               /*min_tail_items=*/10};
   compaction_options.poll_interval_ms = 1.0;
   ASSERT_TRUE(service->StartAutoCompaction(compaction_options).ok());
 

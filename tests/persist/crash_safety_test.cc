@@ -5,7 +5,9 @@
 
 #include <unistd.h>
 
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,8 @@
 #include "persist/segment.h"
 #include "persist/wal.h"
 #include "service/local_search_service.h"
+#include "service/search_service.h"
+#include "service/service_persistence.h"
 #include "service/sharded_search_service.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
@@ -54,6 +58,21 @@ uint64_t FileSize(const std::string& path) {
   std::ifstream file(path, std::ios::binary | std::ios::ate);
   EXPECT_TRUE(file.good()) << path;
   return static_cast<uint64_t>(file.tellg());
+}
+
+SearchService::Options OneShard() {
+  SearchService::Options options;
+  options.num_shards = 1;
+  return options;
+}
+
+std::unique_ptr<SearchService> BuildOneShardService(
+    const DatasetConfig& config) {
+  Dataset dataset = GenerateDataset(config).value();
+  auto service = SearchService::Build(std::move(dataset.graph),
+                                      std::move(dataset.store), OneShard());
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  return service.ok() ? std::move(service).value() : nullptr;
 }
 
 Item SimpleItem(UserId owner, TagId tag, float quality) {
@@ -111,37 +130,82 @@ TEST(CrashSafetyTest, TruncatedWalTailReopensToCommittedPrefix) {
 
 TEST(CrashSafetyTest, BitFlippedSegmentPayloadIsRejected) {
   const DatasetConfig config = TestConfig(7);
-  Dataset dataset = GenerateDataset(config).value();
-  auto engine = SocialSearchEngine::Build(std::move(dataset.graph),
-                                          std::move(dataset.store),
-                                          SocialSearchEngine::Options());
-  ASSERT_TRUE(engine.ok());
+  auto service = BuildOneShardService(config);
+  ASSERT_NE(service, nullptr);
   const std::string dir = TempDir("segment_flip");
-  ASSERT_TRUE(engine.value()->SaveSnapshot(dir).ok());
+  const auto report = service->SaveSnapshot(dir);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
 
-  const auto manifest = persist::LoadCurrentManifest(dir);
-  ASSERT_TRUE(manifest.ok());
-  ASSERT_FALSE(manifest.value().segments.empty());
+  // The graph segment lives in the root, every other kind in shard-0/.
+  const std::string shard_dir = ShardDirPath(dir, 0);
+  const auto root = persist::LoadCurrentManifest(dir);
+  ASSERT_TRUE(root.ok());
+  ASSERT_FALSE(root.value().segments.empty());
+  const auto shard = persist::ReadManifestFile(persist::JoinPath(
+      shard_dir, persist::ManifestFileName(report.value().generation)));
+  ASSERT_TRUE(shard.ok());
+  ASSERT_FALSE(shard.value().segments.empty());
+  std::vector<std::string> paths;
+  for (const persist::SegmentInfo& info : root.value().segments) {
+    paths.push_back(persist::JoinPath(dir, info.file));
+  }
+  for (const persist::SegmentInfo& info : shard.value().segments) {
+    paths.push_back(persist::JoinPath(shard_dir, info.file));
+  }
   // Flip one payload byte in EVERY segment kind in turn; each flip alone
   // must fail the open with a Corruption error naming a checksum problem.
   Rng rng(11);
-  for (const persist::SegmentInfo& info : manifest.value().segments) {
-    const std::string path = persist::JoinPath(dir, info.file);
+  for (const std::string& path : paths) {
+    const uint64_t payload_bytes = FileSize(path) - persist::kSegmentHeaderSize;
     const size_t offset = persist::kSegmentHeaderSize +
                           rng.UniformIndex(static_cast<size_t>(
-                              std::max<uint64_t>(info.payload_bytes, 1)));
+                              std::max<uint64_t>(payload_bytes, 1)));
     FlipByte(path, offset);
-    const auto twin = SocialSearchEngine::OpenSnapshot(
-        dir, SocialSearchEngine::Options());
-    ASSERT_FALSE(twin.ok()) << info.file << " flip went undetected";
+    const auto twin = SearchService::OpenSnapshot(dir, OneShard());
+    ASSERT_FALSE(twin.ok()) << path << " flip went undetected";
     EXPECT_EQ(twin.status().code(), StatusCode::kCorruption)
         << twin.status().ToString();
     FlipByte(path, offset);  // restore for the next kind
   }
   // Control: with every flip undone the directory opens cleanly.
-  EXPECT_TRUE(SocialSearchEngine::OpenSnapshot(
-                  dir, SocialSearchEngine::Options())
-                  .ok());
+  EXPECT_TRUE(SearchService::OpenSnapshot(dir, OneShard()).ok());
+}
+
+TEST(CrashSafetyTest, ShardManifestListingGraphSegmentIsCorruption) {
+  // The one graph lives at the service root; a shard manifest naming a
+  // graph segment is not something any save writes.
+  const DatasetConfig config = TestConfig(8);
+  auto service = BuildOneShardService(config);
+  ASSERT_NE(service, nullptr);
+  const std::string dir = TempDir("shard_graph");
+  const auto report = service->SaveSnapshot(dir);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  const std::string shard_dir = ShardDirPath(dir, 0);
+  const auto root = persist::LoadCurrentManifest(dir);
+  ASSERT_TRUE(root.ok());
+  auto shard = persist::ReadManifestFile(persist::JoinPath(
+      shard_dir, persist::ManifestFileName(report.value().generation)));
+  ASSERT_TRUE(shard.ok());
+  for (const persist::SegmentInfo& info : root.value().segments) {
+    ASSERT_EQ(info.kind, persist::SegmentKind::kGraph);
+    std::filesystem::copy_file(persist::JoinPath(dir, info.file),
+                               persist::JoinPath(shard_dir, info.file));
+    shard.value().segments.push_back(info);
+  }
+  ASSERT_TRUE(persist::WriteManifestFile(shard_dir, shard.value()).ok());
+
+  const auto twin = SearchService::OpenSnapshot(dir, OneShard());
+  ASSERT_FALSE(twin.ok());
+  EXPECT_EQ(twin.status().code(), StatusCode::kCorruption)
+      << twin.status().ToString();
+  SocialSearchEngine::Options options;
+  options.proximity_provider = service->proximity_provider();
+  const auto engine = SocialSearchEngine::OpenSnapshot(
+      shard_dir, report.value().generation, options);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kCorruption)
+      << engine.status().ToString();
 }
 
 TEST(CrashSafetyTest, BitFlippedManifestIsRejected) {
@@ -198,39 +262,36 @@ TEST(CrashSafetyTest, InterruptedResaveLeavesPreviousSnapshotOpenable) {
   // files of the next generation exist but CURRENT still names the old
   // manifest. Opening must serve the OLD snapshot untouched.
   const DatasetConfig config = TestConfig(15);
-  Dataset dataset = GenerateDataset(config).value();
-  auto engine = SocialSearchEngine::Build(std::move(dataset.graph),
-                                          std::move(dataset.store),
-                                          SocialSearchEngine::Options());
-  ASSERT_TRUE(engine.ok());
+  auto service = BuildOneShardService(config);
+  ASSERT_NE(service, nullptr);
   const std::string dir = TempDir("mid_save");
-  const auto first = engine.value()->SaveSnapshot(dir);
+  const auto first = service->SaveSnapshot(dir);
   ASSERT_TRUE(first.ok());
-  const size_t saved_items = engine.value()->store().num_items();
+  SocialSearchEngine* engine = service->shard_engine(0);
+  const size_t saved_items = engine->store().num_items();
 
-  // Write generation-2 files WITHOUT committing (the crash window).
-  ASSERT_TRUE(engine.value()->AddItem(SimpleItem(1, 3, 0.5f)).ok());
+  // Write generation-2 shard files WITHOUT committing the root (the crash
+  // window). The item goes to the engine directly, so the WAL never
+  // sees it: only the uncommitted files hold it.
+  ASSERT_TRUE(engine->AddItem(SimpleItem(1, 3, 0.5f)).ok());
   persist::SnapshotSaveReport report;
-  const auto uncommitted = engine.value()->WriteSnapshotFiles(
-      dir, first.value().generation + 1, nullptr,
-      persist::SnapshotSaveOptions(), &report);
+  const auto uncommitted = engine->WriteSnapshotFiles(
+      ShardDirPath(dir, 0), first.value().generation + 1, nullptr, &report);
   ASSERT_TRUE(uncommitted.ok()) << uncommitted.status().ToString();
 
-  const auto twin = SocialSearchEngine::OpenSnapshot(
-      dir, SocialSearchEngine::Options());
+  const auto twin = SearchService::OpenSnapshot(dir, OneShard());
   ASSERT_TRUE(twin.ok()) << twin.status().ToString();
-  EXPECT_EQ(twin.value()->store().num_items(), saved_items);
+  EXPECT_EQ(twin.value()->shard_engine(0)->store().num_items(), saved_items);
 }
 
 TEST(CrashSafetyTest, MissingCurrentIsCleanError) {
   const std::string dir = TempDir("empty");
   ASSERT_TRUE(persist::EnsureDir(dir).ok());
-  EXPECT_FALSE(SocialSearchEngine::OpenSnapshot(
-                   dir, SocialSearchEngine::Options())
-                   .ok());
-  EXPECT_FALSE(LocalSearchService::OpenSnapshot(
-                   dir, LocalSearchService::Options())
-                   .ok());
+  SocialSearchEngine::Options options;
+  options.proximity_provider = SocialSearchEngine::MakeProximityProvider(
+      GenerateDataset(TestConfig(17)).value().graph, options);
+  EXPECT_FALSE(SocialSearchEngine::OpenSnapshot(dir, 1, options).ok());
+  EXPECT_FALSE(SearchService::OpenSnapshot(dir, OneShard()).ok());
 }
 
 }  // namespace

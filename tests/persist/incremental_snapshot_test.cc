@@ -2,7 +2,8 @@
 // the tail actually touched (the compaction horizon delta is the dirty
 // set — no dirty-bit bookkeeping anywhere), supersede them via segment
 // generations, retire dead files after commit, and still reopen to a
-// bit-identical engine.
+// bit-identical engine. Each service here has one shard, whose engine is
+// compared directly.
 
 #include <dirent.h>
 
@@ -15,6 +16,8 @@
 #include "gtest/gtest.h"
 #include "persist/fs_util.h"
 #include "persist/manifest.h"
+#include "service/search_service.h"
+#include "service/service_persistence.h"
 #include "util/rng.h"
 #include "workload/dataset_generator.h"
 #include "workload/query_workload.h"
@@ -52,21 +55,27 @@ std::set<std::string> ListDir(const std::string& dir) {
   return names;
 }
 
-Result<std::unique_ptr<SocialSearchEngine>> BuildEngine(
-    const DatasetConfig& config) {
-  Dataset dataset = GenerateDataset(config).value();
-  return SocialSearchEngine::Build(std::move(dataset.graph),
-                                   std::move(dataset.store),
-                                   SocialSearchEngine::Options());
+SearchService::Options OneShard() {
+  SearchService::Options options;
+  options.num_shards = 1;
+  return options;
 }
 
-void ExpectTwinEqual(SocialSearchEngine* live, const std::string& dir,
+Result<std::unique_ptr<SearchService>> BuildService(
+    const DatasetConfig& config) {
+  Dataset dataset = GenerateDataset(config).value();
+  return SearchService::Build(std::move(dataset.graph),
+                              std::move(dataset.store), OneShard());
+}
+
+void ExpectTwinEqual(SearchService* live_service, const std::string& dir,
                      const DatasetConfig& config, const std::string& label) {
-  auto twin =
-      SocialSearchEngine::OpenSnapshot(dir, SocialSearchEngine::Options());
-  ASSERT_TRUE(twin.ok()) << label << ": " << twin.status().ToString();
-  ASSERT_EQ(twin.value()->store().num_items(), live->store().num_items())
-      << label;
+  auto twin_service = SearchService::OpenSnapshot(dir, OneShard());
+  ASSERT_TRUE(twin_service.ok())
+      << label << ": " << twin_service.status().ToString();
+  SocialSearchEngine* live = live_service->shard_engine(0);
+  SocialSearchEngine* twin = twin_service.value()->shard_engine(0);
+  ASSERT_EQ(twin->store().num_items(), live->store().num_items()) << label;
 
   Dataset view = GenerateDataset(config).value();
   QueryWorkloadConfig workload;
@@ -79,7 +88,7 @@ void ExpectTwinEqual(SocialSearchEngine* live, const std::string& dir,
          {AlgorithmId::kExhaustive, AlgorithmId::kMergeScan,
           AlgorithmId::kHybrid}) {
       const auto want = live->Query(query, algorithm);
-      const auto got = twin.value()->Query(query, algorithm);
+      const auto got = twin->Query(query, algorithm);
       ASSERT_EQ(want.ok(), got.ok()) << label;
       if (!want.ok()) continue;
       ASSERT_EQ(want.value().items.size(), got.value().items.size())
@@ -96,11 +105,11 @@ void ExpectTwinEqual(SocialSearchEngine* live, const std::string& dir,
 
 TEST(IncrementalSnapshotTest, ResaveEmitsOnlyTouchedLists) {
   const DatasetConfig config = TestConfig(41);
-  auto engine = BuildEngine(config);
-  ASSERT_TRUE(engine.ok());
+  auto service = BuildService(config);
+  ASSERT_TRUE(service.ok());
   const std::string dir = TempDir("touched");
 
-  const auto full = engine.value()->SaveSnapshot(dir);
+  const auto full = service.value()->SaveSnapshot(dir);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_FALSE(full.value().incremental);
   const uint64_t full_lists = full.value().lists_written;
@@ -114,11 +123,11 @@ TEST(IncrementalSnapshotTest, ResaveEmitsOnlyTouchedLists) {
     item.owner = static_cast<UserId>(3 + (i % 3));
     item.tags = {static_cast<TagId>(5 + (i % 2))};
     item.quality = static_cast<float>(rng.UniformDouble());
-    ASSERT_TRUE(engine.value()->AddItem(item).ok());
+    ASSERT_TRUE(service.value()->AddItem(item).ok());
   }
-  ASSERT_TRUE(engine.value()->Compact().ok());
+  ASSERT_TRUE(service.value()->Compact().ok());
 
-  const auto incremental = engine.value()->SaveSnapshot(dir);
+  const auto incremental = service.value()->SaveSnapshot(dir);
   ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
   EXPECT_TRUE(incremental.value().incremental);
   EXPECT_EQ(incremental.value().generation, full.value().generation + 1);
@@ -128,15 +137,15 @@ TEST(IncrementalSnapshotTest, ResaveEmitsOnlyTouchedLists) {
   EXPECT_LE(incremental.value().lists_written, 8u);
   EXPECT_LT(incremental.value().bytes_written, full.value().bytes_written);
 
-  ExpectTwinEqual(engine.value().get(), dir, config, "incremental");
+  ExpectTwinEqual(service.value().get(), dir, config, "incremental");
 }
 
 TEST(IncrementalSnapshotTest, RetirementKeepsExactlyTheLiveFiles) {
   const DatasetConfig config = TestConfig(43);
-  auto engine = BuildEngine(config);
-  ASSERT_TRUE(engine.ok());
+  auto service = BuildService(config);
+  ASSERT_TRUE(service.ok());
   const std::string dir = TempDir("retire");
-  const auto first = engine.value()->SaveSnapshot(dir);
+  const auto first = service.value()->SaveSnapshot(dir);
   ASSERT_TRUE(first.ok());
 
   Rng rng(2);
@@ -145,27 +154,41 @@ TEST(IncrementalSnapshotTest, RetirementKeepsExactlyTheLiveFiles) {
     item.owner = static_cast<UserId>(rng.UniformIndex(config.num_users));
     item.tags = {static_cast<TagId>(rng.UniformIndex(config.num_tags))};
     item.quality = static_cast<float>(rng.UniformDouble());
-    ASSERT_TRUE(engine.value()->AddItem(item).ok());
+    ASSERT_TRUE(service.value()->AddItem(item).ok());
   }
-  ASSERT_TRUE(engine.value()->Compact().ok());
-  const auto second = engine.value()->SaveSnapshot(dir);
+  ASSERT_TRUE(service.value()->Compact().ok());
+  const auto second = service.value()->SaveSnapshot(dir);
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(second.value().incremental);
 
   // Directory contents == CURRENT + the committed manifest + its live
-  // segments, nothing else: the superseded manifest is gone, generation-1
-  // segments survive only because later generations still reference
-  // none/some of their keys — i.e. they are in the manifest.
-  const auto manifest = persist::LoadCurrentManifest(dir);
+  // segments and WAL (+ the shard directory at the root), nothing else:
+  // the superseded manifests are gone, generation-1 segments survive only
+  // because later generations still reference none/some of their keys —
+  // i.e. they are in the manifest.
+  const auto root = persist::LoadCurrentManifest(dir);
+  ASSERT_TRUE(root.ok());
+  std::set<std::string> expected_root = {
+      "CURRENT", persist::ManifestFileName(second.value().generation),
+      root.value().wal_file, "shard-0"};
+  for (const auto& info : root.value().segments) {
+    expected_root.insert(info.file);
+  }
+  EXPECT_EQ(ListDir(dir), expected_root);
+  const std::string shard_dir = ShardDirPath(dir, 0);
+  const auto manifest = persist::ReadManifestFile(persist::JoinPath(
+      shard_dir, persist::ManifestFileName(second.value().generation)));
   ASSERT_TRUE(manifest.ok());
   std::set<std::string> expected = {
-      "CURRENT", persist::ManifestFileName(second.value().generation)};
+      persist::ManifestFileName(second.value().generation)};
   for (const auto& info : manifest.value().segments) {
     expected.insert(info.file);
   }
-  EXPECT_EQ(ListDir(dir), expected);
-  EXPECT_FALSE(persist::FileExists(persist::JoinPath(
-      dir, persist::ManifestFileName(first.value().generation))));
+  EXPECT_EQ(ListDir(shard_dir), expected);
+  for (const std::string& retired_dir : {dir, shard_dir}) {
+    EXPECT_FALSE(persist::FileExists(persist::JoinPath(
+        retired_dir, persist::ManifestFileName(first.value().generation))));
+  }
 
   // The carried-over generation-1 postings segment must still be listed
   // (only SOME lists were superseded).
@@ -181,19 +204,19 @@ TEST(IncrementalSnapshotTest, RetirementKeepsExactlyTheLiveFiles) {
 
 TEST(IncrementalSnapshotTest, UnchangedEngineResavesNothing) {
   const DatasetConfig config = TestConfig(47);
-  auto engine = BuildEngine(config);
-  ASSERT_TRUE(engine.ok());
+  auto service = BuildService(config);
+  ASSERT_TRUE(service.ok());
   const std::string dir = TempDir("nochange");
-  ASSERT_TRUE(engine.value()->SaveSnapshot(dir).ok());
+  ASSERT_TRUE(service.value()->SaveSnapshot(dir).ok());
 
-  const auto resave = engine.value()->SaveSnapshot(dir);
+  const auto resave = service.value()->SaveSnapshot(dir);
   ASSERT_TRUE(resave.ok()) << resave.status().ToString();
   EXPECT_TRUE(resave.value().incremental);
   EXPECT_EQ(resave.value().lists_written, 0u);
   EXPECT_EQ(resave.value().segments_written, 0u);
   EXPECT_EQ(resave.value().bytes_written, 0u);
 
-  ExpectTwinEqual(engine.value().get(), dir, config, "nochange");
+  ExpectTwinEqual(service.value().get(), dir, config, "nochange");
 }
 
 TEST(IncrementalSnapshotTest, ForeignBaseForcesFullSave) {
@@ -203,19 +226,19 @@ TEST(IncrementalSnapshotTest, ForeignBaseForcesFullSave) {
   const DatasetConfig config_a = TestConfig(51);
   DatasetConfig config_b = TestConfig(53);
   config_b.num_users = 90;  // different user universe
-  auto engine_a = BuildEngine(config_a);
-  auto engine_b = BuildEngine(config_b);
-  ASSERT_TRUE(engine_a.ok() && engine_b.ok());
+  auto service_a = BuildService(config_a);
+  auto service_b = BuildService(config_b);
+  ASSERT_TRUE(service_a.ok() && service_b.ok());
 
   const std::string dir = TempDir("foreign");
-  const auto first = engine_a.value()->SaveSnapshot(dir);
+  const auto first = service_a.value()->SaveSnapshot(dir);
   ASSERT_TRUE(first.ok());
-  const auto second = engine_b.value()->SaveSnapshot(dir);
+  const auto second = service_b.value()->SaveSnapshot(dir);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_FALSE(second.value().incremental);
   EXPECT_GT(second.value().generation, first.value().generation);
 
-  ExpectTwinEqual(engine_b.value().get(), dir, config_b, "foreign");
+  ExpectTwinEqual(service_b.value().get(), dir, config_b, "foreign");
 }
 
 }  // namespace

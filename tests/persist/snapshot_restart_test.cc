@@ -1,9 +1,10 @@
 // The acceptance property of the snapshot subsystem: a reopened snapshot
 // is the SAME engine, bit for bit. Every query — all six strategies,
 // both match modes, plain/diverse/geo/pure-social — must return
-// IDENTICAL items and IDENTICAL float scores on the restored twin, for
-// bare engines and for 1-, 2- and 4-shard services; fresh after a save,
-// after WAL-replayed ingest, and after merge compaction + resave.
+// IDENTICAL items and IDENTICAL float scores on the restored twin, for a
+// one-shard service's engine and for 1-, 2- and 4-shard services; fresh
+// after a save, after WAL-replayed ingest, and after merge compaction +
+// resave.
 //
 // Why exact equality (not the tie-tolerant comparison of the sharded
 // invariance suite) is the right bar: the twin runs the same algorithm
@@ -12,6 +13,7 @@
 // — so even tie-breaks must reproduce.
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +23,8 @@
 #include "persist/fs_util.h"
 #include "persist/manifest.h"
 #include "service/local_search_service.h"
+#include "service/search_service.h"
+#include "service/service_persistence.h"
 #include "service/sharded_search_service.h"
 #include "util/file_util.h"
 #include "util/hash.h"
@@ -92,7 +96,7 @@ void ExpectIdenticalItems(const std::vector<ScoredItem>& want,
   }
 }
 
-// --- Bare engine ---------------------------------------------------------
+// --- One shard's engine --------------------------------------------------
 
 void ExpectEngineTwin(SocialSearchEngine* live, SocialSearchEngine* twin,
                       std::span<const SocialQuery> queries,
@@ -126,27 +130,40 @@ void ExpectEngineTwin(SocialSearchEngine* live, SocialSearchEngine* twin,
   }
 }
 
+SearchService::Options OneShard() {
+  SearchService::Options options;
+  options.num_shards = 1;
+  return options;
+}
+
+std::unique_ptr<SearchService> BuildOneShardService(
+    const DatasetConfig& config) {
+  Dataset dataset = GenerateDataset(config).value();
+  auto service = SearchService::Build(std::move(dataset.graph),
+                                      std::move(dataset.store), OneShard());
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  return service.ok() ? std::move(service).value() : nullptr;
+}
+
 TEST(SnapshotRestartTest, EngineTwinMatchesAcrossStrategiesAndModes) {
   const DatasetConfig config = TestConfig(5);
-  Dataset dataset = GenerateDataset(config).value();
-  auto live = SocialSearchEngine::Build(std::move(dataset.graph),
-                                        std::move(dataset.store),
-                                        SocialSearchEngine::Options());
-  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  auto live = BuildOneShardService(config);
+  ASSERT_NE(live, nullptr);
   const std::vector<SocialQuery> queries = BaseQueries(config);
 
   const std::string dir = TempDir("engine");
-  const auto report = live.value()->SaveSnapshot(dir);
+  const auto report = live->SaveSnapshot(dir);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report.value().incremental);
   EXPECT_GT(report.value().segments_written, 0u);
 
-  auto twin = SocialSearchEngine::OpenSnapshot(
-      dir, SocialSearchEngine::Options());
+  auto twin = SearchService::OpenSnapshot(dir, OneShard());
   ASSERT_TRUE(twin.ok()) << twin.status().ToString();
-  EXPECT_EQ(twin.value()->store().num_items(),
-            live.value()->store().num_items());
-  ExpectEngineTwin(live.value().get(), twin.value().get(), queries, "fresh");
+  SocialSearchEngine* live_engine = live->shard_engine(0);
+  SocialSearchEngine* twin_engine = twin.value()->shard_engine(0);
+  EXPECT_EQ(twin_engine->store().num_items(),
+            live_engine->store().num_items());
+  ExpectEngineTwin(live_engine, twin_engine, queries, "fresh");
 
   // Ingest into BOTH, compact only the twin: queries must still agree
   // (compaction invariance composed with restore equivalence).
@@ -156,27 +173,54 @@ TEST(SnapshotRestartTest, EngineTwinMatchesAcrossStrategiesAndModes) {
     item.owner = static_cast<UserId>(rng.UniformIndex(config.num_users));
     item.tags = {static_cast<TagId>(rng.UniformIndex(config.num_tags))};
     item.quality = static_cast<float>(rng.UniformDouble());
-    const auto live_id = live.value()->AddItem(item);
+    const auto live_id = live->AddItem(item);
     const auto twin_id = twin.value()->AddItem(item);
     ASSERT_TRUE(live_id.ok() && twin_id.ok());
     EXPECT_EQ(live_id.value(), twin_id.value());
   }
-  ASSERT_TRUE(twin.value()->Compact().ok());
-  ExpectEngineTwin(live.value().get(), twin.value().get(), queries,
-                   "post-ingest");
+  ASSERT_TRUE(twin_engine->Compact().ok());
+  ExpectEngineTwin(live_engine, twin_engine, queries, "post-ingest");
 }
 
 TEST(SnapshotRestartTest, EngineRejectsServiceRootDirectory) {
   const DatasetConfig config = TestConfig(6);
-  Dataset dataset = GenerateDataset(config).value();
-  auto service = LocalSearchService::Build(std::move(dataset.graph),
-                                           std::move(dataset.store));
-  ASSERT_TRUE(service.ok());
+  auto service = BuildOneShardService(config);
+  ASSERT_NE(service, nullptr);
   const std::string dir = TempDir("engine_vs_service");
-  ASSERT_TRUE(service.value()->SaveSnapshot(dir).ok());
+  const auto report = service->SaveSnapshot(dir);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  SocialSearchEngine::Options options;
+  options.proximity_provider = service->proximity_provider();
   const auto engine = SocialSearchEngine::OpenSnapshot(
-      dir, SocialSearchEngine::Options());
+      dir, report.value().generation, options);
   EXPECT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
+      << engine.status().ToString();
+}
+
+TEST(SnapshotRestartTest, EngineOpenWithoutProviderIsInvalidArgument) {
+  // A shard snapshot holds no graph, so the caller must supply the
+  // provider the service restored from its root graph segment.
+  const DatasetConfig config = TestConfig(7);
+  auto service = BuildOneShardService(config);
+  ASSERT_NE(service, nullptr);
+  const std::string dir = TempDir("engine_no_provider");
+  const auto report = service->SaveSnapshot(dir);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const auto engine = SocialSearchEngine::OpenSnapshot(
+      ShardDirPath(dir, 0), report.value().generation,
+      SocialSearchEngine::Options());
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
+      << engine.status().ToString();
+
+  // Control: the same shard directory opens with the provider.
+  SocialSearchEngine::Options options;
+  options.proximity_provider = service->proximity_provider();
+  const auto opened = SocialSearchEngine::OpenSnapshot(
+      ShardDirPath(dir, 0), report.value().generation, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value()->store().num_items(), service->num_items());
 }
 
 // --- Services ------------------------------------------------------------
@@ -507,22 +551,8 @@ TEST(SnapshotRestartTest, HashPlacedMultiShardRootIsRejectedAndFullySaved) {
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
 
-  // An incremental save would reuse the hash-placed shard segments.
-  std::vector<SocialSearchEngine*> engines;
-  for (size_t s = 0; s < live->num_shards(); ++s) {
-    engines.push_back(live->shard_engine(s));
-  }
-  persist::SnapshotSaveOptions incremental;
-  incremental.mode = persist::SnapshotSaveOptions::Mode::kIncremental;
-  ServicePersistState scratch_state;
-  EXPECT_EQ(SaveServiceSnapshot(dir, engines, *live->proximity_provider(),
-                                live->num_items(), incremental,
-                                &scratch_state)
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-
-  // The service's own save over it is a full save that reopens.
+  // The service's own save over it is a full save that reopens: an
+  // incremental save would reuse the hash-placed shard segments.
   const auto resaved = live->SaveSnapshot(dir);
   ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
   EXPECT_FALSE(resaved.value().incremental);
@@ -531,6 +561,52 @@ TEST(SnapshotRestartTest, HashPlacedMultiShardRootIsRejectedAndFullySaved) {
   ASSERT_NE(twin, nullptr);
   ExpectServiceTwin(live.get(), twin.get(), BuildRequests(config),
                     "resaved");
+}
+
+TEST(SnapshotRestartTest, BareEngineRootIsRefusedAndFullySaved) {
+  // The retired bare-engine layout: CURRENT names a num_shards = 0
+  // manifest whose segments, graph included, sit in the root directory.
+  // Built here from a one-shard save by moving shard-0's files up.
+  const DatasetConfig config = TestConfig(8);
+  auto live = BuildOneShardService(config);
+  ASSERT_NE(live, nullptr);
+  const std::string dir = TempDir("bare_engine_root");
+  const auto first = live->SaveSnapshot(dir);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const uint64_t generation = first.value().generation;
+  const persist::Manifest root = persist::LoadCurrentManifest(dir).value();
+  persist::Manifest bare =
+      persist::ReadManifestFile(
+          persist::JoinPath(ShardDirPath(dir, 0),
+                            persist::ManifestFileName(generation)))
+          .value();
+  ASSERT_EQ(bare.num_shards, 0u);
+  for (const persist::SegmentInfo& info : bare.segments) {
+    std::filesystem::copy_file(
+        persist::JoinPath(ShardDirPath(dir, 0), info.file),
+        persist::JoinPath(dir, info.file));
+  }
+  bare.segments.insert(bare.segments.end(), root.segments.begin(),
+                       root.segments.end());
+  bare.generation = generation + 1;
+  ASSERT_TRUE(persist::WriteManifestFile(dir, bare).ok());
+  ASSERT_TRUE(persist::CommitCurrent(dir, bare.generation).ok());
+
+  const auto opened = SearchService::OpenSnapshot(dir, OneShard());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(opened.status().message().find("Rebuild"), std::string::npos)
+      << opened.status().ToString();
+
+  // A service save over it is a full save that reopens.
+  const auto resaved = live->SaveSnapshot(dir);
+  ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+  EXPECT_FALSE(resaved.value().incremental);
+  EXPECT_GT(resaved.value().generation, bare.generation);
+  auto twin = SearchService::OpenSnapshot(dir, OneShard());
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+  ExpectServiceTwin(live.get(), twin.value().get(), BuildRequests(config),
+                    "resaved over bare engine");
 }
 
 TEST(SnapshotRestartTest, FormatOneSingleShardRootStillOpens) {

@@ -239,9 +239,7 @@ TEST(ProximityProviderTest, FoldsMidChurnAreInvisible) {
   ProximityProvider reference(TestGraph(60), twin_options);
 
   ProximityProvider::Options fold_options = twin_options;
-  AdaptiveOverlayFoldPolicy::Options fold;
-  fold.max_patch_rows = 4;
-  fold_options.fold_policy = std::make_shared<AdaptiveOverlayFoldPolicy>(fold);
+  fold_options.fold_policy.max_patch_rows = 4;
   ProximityProvider folding(TestGraph(60), fold_options);
 
   Rng rng(5);

@@ -63,10 +63,7 @@ std::unique_ptr<SearchService> BuildSharded(const DatasetConfig& config,
   if (aggressive_folds) {
     // Fold after a handful of patched rows, so the run folds many times
     // mid-churn instead of once at the end.
-    AdaptiveOverlayFoldPolicy::Options fold;
-    fold.max_patch_rows = 6;
-    options.engine.proximity_fold_policy =
-        std::make_shared<AdaptiveOverlayFoldPolicy>(fold);
+    options.engine.proximity_fold_policy.max_patch_rows = 6;
   }
   auto sharded = ShardedSearchService::Build(std::move(dataset.graph),
                                              std::move(dataset.store),

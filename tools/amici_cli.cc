@@ -12,8 +12,10 @@
 //
 // Exit code 0 on success; errors go to stderr.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -33,6 +35,22 @@
 
 namespace amici {
 namespace {
+
+/// Parses all of `text` as a base-10 integer in [0, max]: no sign, no
+/// surrounding space, no trailing characters. `what` names the value in
+/// the error.
+Result<uint64_t> ParseUint(const std::string& what, const std::string& text,
+                           uint64_t max) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value > max) {
+    return Status::InvalidArgument(what + " must be an integer in [0, " +
+                                   std::to_string(max) + "], got '" + text +
+                                   "'");
+  }
+  return value;
+}
 
 /// Minimal "--key value" parser; flags must all take a value.
 class Flags {
@@ -58,17 +76,31 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  double GetDouble(const std::string& key, double fallback) const {
+  /// The flag as a finite number (the whole value, no trailing
+  /// characters), or `fallback` when absent.
+  Result<double> GetDouble(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(),
-                                                        nullptr);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    double value = 0.0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || ptr != end ||
+        !std::isfinite(value)) {
+      return Status::InvalidArgument("--" + key + " must be a number, got '" +
+                                     text + "'");
+    }
+    return value;
   }
 
-  uint64_t GetUint(const std::string& key, uint64_t fallback) const {
+  /// The flag as an integer in [0, max] (see ParseUint), or `fallback`
+  /// when absent.
+  Result<uint64_t> GetUint(
+      const std::string& key, uint64_t fallback,
+      uint64_t max = std::numeric_limits<uint64_t>::max()) const {
     const auto it = values_.find(key);
-    return it == values_.end()
-               ? fallback
-               : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == values_.end()) return fallback;
+    return ParseUint("--" + key, it->second, max);
   }
 
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
@@ -111,12 +143,14 @@ Status RunGenerate(const Flags& flags) {
   }
   DatasetConfig config = MediumDataset();
   config.name = "cli";
-  config.num_users = flags.GetUint("users", 10000);
-  config.items_per_user = flags.GetDouble("items-per-user", 5.0);
-  config.num_tags = flags.GetUint("tags", 5000);
-  config.social_locality = flags.GetDouble("locality", 0.5);
-  config.geo_fraction = flags.GetDouble("geo", 0.0);
-  config.seed = flags.GetUint("seed", 42);
+  AMICI_ASSIGN_OR_RETURN(config.num_users, flags.GetUint("users", 10000));
+  AMICI_ASSIGN_OR_RETURN(config.items_per_user,
+                         flags.GetDouble("items-per-user", 5.0));
+  AMICI_ASSIGN_OR_RETURN(config.num_tags, flags.GetUint("tags", 5000));
+  AMICI_ASSIGN_OR_RETURN(config.social_locality,
+                         flags.GetDouble("locality", 0.5));
+  AMICI_ASSIGN_OR_RETURN(config.geo_fraction, flags.GetDouble("geo", 0.0));
+  AMICI_ASSIGN_OR_RETURN(config.seed, flags.GetUint("seed", 42));
 
   Stopwatch watch;
   AMICI_ASSIGN_OR_RETURN(const Dataset dataset, GenerateDataset(config));
@@ -153,18 +187,21 @@ Status RunStats(const Flags& flags) {
 }
 
 Status RunQuery(const Flags& flags) {
-  AMICI_ASSIGN_OR_RETURN(auto engine, OpenEngine(flags));
   if (!flags.Has("user") || !flags.Has("tags")) {
     return Status::InvalidArgument("--user and --tags are required");
   }
   SocialQuery query;
-  query.user = static_cast<UserId>(flags.GetUint("user", 0));
+  AMICI_ASSIGN_OR_RETURN(
+      query.user,
+      flags.GetUint("user", 0, std::numeric_limits<UserId>::max()));
   for (const std::string& tag : Split(flags.GetString("tags", ""), ',')) {
-    query.tags.push_back(
-        static_cast<TagId>(std::strtoul(tag.c_str(), nullptr, 10)));
+    AMICI_ASSIGN_OR_RETURN(
+        const uint64_t id,
+        ParseUint("--tags entry", tag, std::numeric_limits<TagId>::max()));
+    query.tags.push_back(static_cast<TagId>(id));
   }
-  query.k = flags.GetUint("k", 10);
-  query.alpha = flags.GetDouble("alpha", 0.5);
+  AMICI_ASSIGN_OR_RETURN(query.k, flags.GetUint("k", 10));
+  AMICI_ASSIGN_OR_RETURN(query.alpha, flags.GetDouble("alpha", 0.5));
   const std::string mode = flags.GetString("mode", "any");
   if (mode == "all") {
     query.mode = MatchMode::kAll;
@@ -175,6 +212,7 @@ Status RunQuery(const Flags& flags) {
 
   AMICI_ASSIGN_OR_RETURN(const std::optional<AlgorithmId> algorithm,
                          AlgorithmFlag(flags));
+  AMICI_ASSIGN_OR_RETURN(auto engine, OpenEngine(flags));
   AMICI_ASSIGN_OR_RETURN(
       const QueryResult result,
       engine->Query(query, algorithm.value_or(PlanAlgorithm(query))));
@@ -199,10 +237,10 @@ Status RunTraceGen(const Flags& flags) {
   AMICI_ASSIGN_OR_RETURN(const Dataset dataset,
                          LoadDataset(flags.GetString("data", "")));
   QueryWorkloadConfig config;
-  config.num_queries = flags.GetUint("queries", 100);
-  config.k = flags.GetUint("k", 10);
-  config.alpha = flags.GetDouble("alpha", 0.5);
-  config.seed = flags.GetUint("seed", 4242);
+  AMICI_ASSIGN_OR_RETURN(config.num_queries, flags.GetUint("queries", 100));
+  AMICI_ASSIGN_OR_RETURN(config.k, flags.GetUint("k", 10));
+  AMICI_ASSIGN_OR_RETURN(config.alpha, flags.GetDouble("alpha", 0.5));
+  AMICI_ASSIGN_OR_RETURN(config.seed, flags.GetUint("seed", 4242));
   AMICI_ASSIGN_OR_RETURN(const std::vector<SocialQuery> queries,
                          GenerateQueries(dataset, config));
   AMICI_RETURN_IF_ERROR(
