@@ -252,6 +252,37 @@ void BM_PprForwardPush(benchmark::State& state) {
 }
 BENCHMARK(BM_PprForwardPush);
 
+// ProximityVector::Proximity, the random-access path Scorer::SocialScore
+// takes per candidate: a 200-entry vector over 20k users, probed with
+// alternating hits and misses in random order.
+void BM_ProximityLookup(benchmark::State& state) {
+  constexpr UserId kUsers = 20000;
+  constexpr size_t kEntries = 200;
+  Rng rng(11);
+  std::vector<ProximityEntry> entries;
+  std::vector<bool> present(kUsers, false);
+  while (entries.size() < kEntries) {
+    const UserId user = static_cast<UserId>(rng.UniformIndex(kUsers));
+    if (present[user]) continue;
+    present[user] = true;
+    entries.push_back({user, static_cast<float>(rng.UniformDouble()) + 0.01f});
+  }
+  const ProximityVector vector =
+      ProximityVector::FromUnnormalized(std::move(entries));
+  std::vector<UserId> probes;
+  while (probes.size() < 4096) {
+    const UserId user = static_cast<UserId>(rng.UniformIndex(kUsers));
+    // Even slots are hits, odd slots misses.
+    if (present[user] == (probes.size() % 2 == 0)) probes.push_back(user);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vector.Proximity(probes[i]));
+    i = (i + 1) & (probes.size() - 1);
+  }
+}
+BENCHMARK(BM_ProximityLookup);
+
 class VectorSource final : public SortedSource {
  public:
   explicit VectorSource(std::vector<ScoredItem> entries)

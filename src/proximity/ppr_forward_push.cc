@@ -1,12 +1,55 @@
 #include "proximity/ppr_forward_push.h"
 
-#include <deque>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "util/logging.h"
 
 namespace amici {
+
+namespace {
+
+/// Dense per-thread state of one Compute call, indexed by UserId. Rows a
+/// call touches are listed in `touched` and zeroed again before it
+/// returns, so every call starts from all-zero rows in O(touched) rather
+/// than O(num_users).
+struct PushScratch {
+  static constexpr uint8_t kQueued = 1;
+  static constexpr uint8_t kTouched = 2;
+
+  std::vector<double> estimate;
+  std::vector<double> residual;
+  std::vector<uint8_t> flags;
+  std::vector<UserId> touched;
+  /// FIFO of users to push; Compute pops by advancing a head index.
+  std::vector<UserId> queue;
+
+  void GrowTo(size_t num_users) {
+    if (flags.size() >= num_users) return;
+    estimate.resize(num_users, 0.0);
+    residual.resize(num_users, 0.0);
+    flags.resize(num_users, 0);
+  }
+
+  void Touch(UserId u) {
+    if ((flags[u] & kTouched) == 0) {
+      flags[u] |= kTouched;
+      touched.push_back(u);
+    }
+  }
+
+  void Reset() {
+    for (const UserId u : touched) {
+      estimate[u] = 0.0;
+      residual[u] = 0.0;
+      flags[u] = 0;
+    }
+    touched.clear();
+    queue.clear();
+  }
+};
+
+}  // namespace
 
 PprForwardPush::PprForwardPush(double restart_prob, double epsilon)
     : restart_prob_(restart_prob), epsilon_(epsilon) {
@@ -17,17 +60,22 @@ PprForwardPush::PprForwardPush(double restart_prob, double epsilon)
 ProximityVector PprForwardPush::Compute(const SocialGraph& graph,
                                         UserId source) const {
   AMICI_CHECK(source < graph.num_users());
-  std::unordered_map<UserId, double> estimate;
-  std::unordered_map<UserId, double> residual;
-  residual[source] = 1.0;
-  std::deque<UserId> queue{source};
-  std::unordered_map<UserId, bool> queued;
-  queued[source] = true;
+  thread_local PushScratch scratch;
+  scratch.GrowTo(graph.num_users());
+  std::vector<double>& estimate = scratch.estimate;
+  std::vector<double>& residual = scratch.residual;
+  std::vector<uint8_t>& flags = scratch.flags;
+  std::vector<UserId>& queue = scratch.queue;
 
-  while (!queue.empty()) {
-    const UserId u = queue.front();
-    queue.pop_front();
-    queued[u] = false;
+  scratch.Touch(source);
+  residual[source] = 1.0;
+  queue.push_back(source);
+  flags[source] |= PushScratch::kQueued;
+  size_t num_pushed = 0;
+
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const UserId u = queue[head];
+    flags[u] &= PushScratch::kTouched;
     const double r = residual[u];
     const size_t degree = graph.Degree(u);
     const double threshold =
@@ -35,35 +83,42 @@ ProximityVector PprForwardPush::Compute(const SocialGraph& graph,
     if (r < threshold) continue;
 
     residual[u] = 0.0;
+    if (estimate[u] == 0.0) ++num_pushed;
     estimate[u] += restart_prob_ * r;
     if (degree == 0) {
       // Dangling user: the walk restarts, residual returns to the source.
       residual[source] += (1.0 - restart_prob_) * r;
-      if (!queued[source]) {
+      if ((flags[source] & PushScratch::kQueued) == 0) {
         queue.push_back(source);
-        queued[source] = true;
+        flags[source] |= PushScratch::kQueued;
       }
       continue;
     }
     const double share =
         (1.0 - restart_prob_) * r / static_cast<double>(degree);
     for (const UserId v : graph.Friends(u)) {
+      scratch.Touch(v);
       residual[v] += share;
       const size_t deg_v = graph.Degree(v);
       if (residual[v] >= epsilon_ * static_cast<double>(deg_v == 0 ? 1 : deg_v)
-          && !queued[v]) {
+          && (flags[v] & PushScratch::kQueued) == 0) {
         queue.push_back(v);
-        queued[v] = true;
+        flags[v] |= PushScratch::kQueued;
       }
     }
   }
 
+  // Touched users that were never pushed keep estimate 0 and are not
+  // entries. The reserve is exact because the cached vector keeps this
+  // buffer; sizing it by `touched` would hold several times the entries'
+  // memory per vector.
   std::vector<ProximityEntry> entries;
-  entries.reserve(estimate.size());
-  for (const auto& [user, score] : estimate) {
-    if (user == source) continue;
-    entries.push_back({user, static_cast<float>(score)});
+  entries.reserve(num_pushed);
+  for (const UserId user : scratch.touched) {
+    if (user == source || estimate[user] == 0.0) continue;
+    entries.push_back({user, static_cast<float>(estimate[user])});
   }
+  scratch.Reset();
   return ProximityVector::FromUnnormalized(std::move(entries));
 }
 

@@ -15,6 +15,16 @@ namespace amici {
 /// size, which is what makes per-query PPR practical.
 ///
 /// Guarantee: |p[v] − π[v]| ≤ epsilon · deg(v) for every v.
+///
+/// p, r and the queued flags live in dense scratch arrays indexed by
+/// UserId, one set per thread that calls Compute (thread_local, so calls
+/// on different threads share nothing). The scratch grows to the largest
+/// graph the thread has seen, about 21 B × num_users (two doubles, a flag
+/// byte and a touched-list slot per user), and is never shrunk; each call
+/// zeroes only the rows it touched before returning. The FIFO push order
+/// and every floating-point sum are those of the textbook hash-map
+/// formulation (tests/testing/reference_ppr_push.h), so the vectors are
+/// bit-identical to it.
 class PprForwardPush : public ProximityModel {
  public:
   /// `restart_prob` in (0, 1); `epsilon` > 0 controls the accuracy/cost

@@ -1,6 +1,7 @@
 #include "proximity/proximity_model.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace amici {
 
@@ -23,8 +24,15 @@ ProximityVector ProximityVector::FromUnnormalized(
               if (a.score != b.score) return a.score > b.score;
               return a.user < b.user;
             });
-  out.lookup_.reserve(entries.size() * 2);
-  for (const auto& e : entries) out.lookup_.emplace(e.user, e.score);
+  // Load at most 1/2 keeps linear-probe chains short.
+  out.slots_.assign(std::bit_ceil(entries.size() * 2),
+                    ProximityEntry{kInvalidUserId, 0.0f});
+  const size_t mask = out.slots_.size() - 1;
+  for (const auto& e : entries) {
+    size_t i = HomeSlot(e.user, out.slots_.size());
+    while (out.slots_[i].user != kInvalidUserId) i = (i + 1) & mask;
+    out.slots_[i] = e;
+  }
   out.ranked_ = std::move(entries);
   return out;
 }

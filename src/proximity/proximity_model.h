@@ -1,9 +1,10 @@
 #ifndef AMICI_PROXIMITY_PROXIMITY_MODEL_H_
 #define AMICI_PROXIMITY_PROXIMITY_MODEL_H_
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/social_graph.h"
@@ -25,13 +26,20 @@ struct ProximityEntry {
 /// score (ties by ascending user id), which is exactly the "ranked access"
 /// order SocialFirst consumes; `Proximity()` provides the "random access"
 /// path content-first TA needs.
+///
+/// Random access goes through a flat open-addressing copy of the entries:
+/// a power-of-two slot array at most half full, probed linearly from a
+/// multiplicative hash of the user id, with kInvalidUserId (score 0)
+/// marking empty slots. Each entry costs 8 bytes in `ranked()` plus 16–32
+/// bytes of slots.
 class ProximityVector {
  public:
   ProximityVector() = default;
 
   /// Takes raw (possibly unsorted, unnormalized) entries; drops
-  /// non-positive scores, normalizes the max to 1, sorts, and builds the
-  /// lookup table.
+  /// non-positive scores, normalizes the max to 1, sorts, and fills the
+  /// open-addressing slots. User ids must be distinct and below
+  /// kInvalidUserId.
   static ProximityVector FromUnnormalized(std::vector<ProximityEntry> entries);
 
   /// Entries in decreasing-score order.
@@ -39,8 +47,14 @@ class ProximityVector {
 
   /// Proximity of `u`, or 0 when u is not in the vector.
   float Proximity(UserId u) const {
-    const auto it = lookup_.find(u);
-    return it == lookup_.end() ? 0.0f : it->second;
+    if (slots_.empty()) return 0.0f;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = HomeSlot(u, slots_.size());; i = (i + 1) & mask) {
+      const ProximityEntry& slot = slots_[i];
+      // An empty slot ends the probe; its score is 0, which also answers
+      // Proximity(kInvalidUserId).
+      if (slot.user == u || slot.user == kInvalidUserId) return slot.score;
+    }
   }
 
   bool empty() const { return ranked_.empty(); }
@@ -49,9 +63,19 @@ class ProximityVector {
   /// Largest score (1.0 by contract) or 0 for an empty vector.
   float MaxScore() const { return ranked_.empty() ? 0.0f : ranked_[0].score; }
 
+  /// Slot where the probe for `u` starts in a table of `num_slots` (a
+  /// power of two, at least 2): the top bits of a Fibonacci hash.
+  static size_t HomeSlot(UserId u, size_t num_slots) {
+    const uint32_t hash = u * 0x9E3779B1u;
+    return hash >> (32 - std::countr_zero(num_slots));
+  }
+
+  /// Slots in the lookup table (0 for an empty vector).
+  size_t num_slots() const { return slots_.size(); }
+
  private:
   std::vector<ProximityEntry> ranked_;
-  std::unordered_map<UserId, float> lookup_;
+  std::vector<ProximityEntry> slots_;
 };
 
 /// Strategy interface for social proximity. Implementations are pure

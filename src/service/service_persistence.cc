@@ -1,6 +1,8 @@
 #include "service/service_persistence.h"
 
+#include <filesystem>
 #include <optional>
+#include <system_error>
 #include <utility>
 
 #include "persist/fs_util.h"
@@ -20,6 +22,23 @@ namespace {
 bool PlacementReadable(const persist::Manifest& root) {
   return root.num_shards <= 1 ||
          root.placement == persist::ShardPlacement::kModulo;
+}
+
+/// Deletes the `shard-<i>/` directories of `dir` with i >= `num_shards`,
+/// which an earlier save with more shards left and the committed root no
+/// longer references. Saves write shards 0..N-1, so the leftovers are
+/// contiguous; removing them from the highest down keeps them so when a
+/// crash interrupts the cleanup.
+Status RemoveRetiredShardDirs(const std::string& dir, size_t num_shards) {
+  size_t end = num_shards;
+  while (persist::FileExists(ShardDirPath(dir, end))) ++end;
+  for (size_t s = end; s-- > num_shards;) {
+    const std::string shard_dir = ShardDirPath(dir, s);
+    std::error_code ec;
+    std::filesystem::remove_all(shard_dir, ec);
+    if (ec) return Status::IoError("remove " + shard_dir + ": " + ec.message());
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -138,6 +157,7 @@ Result<persist::SnapshotSaveReport> SaveServiceSnapshot(
     AMICI_RETURN_IF_ERROR(
         persist::RemoveRetiredFiles(ShardDirPath(dir, s), shard_manifests[s]));
   }
+  AMICI_RETURN_IF_ERROR(RemoveRetiredShardDirs(dir, shards.size()));
 
   state->dir = dir;
   state->root = std::move(root);

@@ -416,6 +416,32 @@ TEST(SnapshotRestartTest, ShardCountMismatchesAreRejected) {
   EXPECT_EQ(one.value()->num_items(), local->num_items());
 }
 
+TEST(SnapshotRestartTest, ShrinkingShardCountRemovesRetiredShardDirs) {
+  const DatasetConfig config = TestConfig(29);
+  const std::string dir = TempDir("shrink");
+  auto four = BuildService(config, 4);
+  ASSERT_TRUE(four->SaveSnapshot(dir).ok());
+  for (size_t s = 0; s < 4; ++s) {
+    ASSERT_TRUE(persist::FileExists(ShardDirPath(dir, s))) << s;
+  }
+
+  // Resave the same data with 2 shards into the same directory: the
+  // committed root names shard-0/ and shard-1/ only, so shard-2/ and
+  // shard-3/ must go.
+  auto two = BuildService(config, 2);
+  ASSERT_TRUE(two->SaveSnapshot(dir).ok());
+  EXPECT_TRUE(persist::FileExists(ShardDirPath(dir, 0)));
+  EXPECT_TRUE(persist::FileExists(ShardDirPath(dir, 1)));
+  EXPECT_FALSE(persist::FileExists(ShardDirPath(dir, 2)));
+  EXPECT_FALSE(persist::FileExists(ShardDirPath(dir, 3)));
+
+  auto twin = OpenService(dir, 2);
+  ASSERT_NE(twin, nullptr);
+  EXPECT_EQ(twin->num_shards(), 2u);
+  const std::vector<SearchRequest> requests = BuildRequests(config);
+  ExpectServiceTwin(two.get(), twin.get(), requests, "after-shrink");
+}
+
 TEST(SnapshotRestartTest, LocalSnapshotReopensThroughShardedOpener) {
   // One layout for every shard count: what LocalSearchService saves —
   // segments plus a logged WAL tail — the general opener reopens as a
